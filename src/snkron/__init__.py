@@ -12,11 +12,10 @@ from .characters import (
     CycleType,
     DEFAULT_CAP,
     centralizer_order,
+    character_row,
     character_table,
     character_value,
-    load_character_table,
-    save_character_table,
-    set_cache_dir,
+    class_sizes,
 )
 from .closed_forms import (
     theorem1_coefficient,
@@ -29,7 +28,6 @@ from .kronecker import (
     kronecker,
     rectangle_invariant_multiplicity,
     tensor_decompose,
-    tensor_decompose_bounded,
 )
 from .partitions import (
     Partition,
@@ -69,9 +67,11 @@ __all__ = [
     "T1_W_GENERATORS",
     "T2_W_GENERATORS",
     "centralizer_order",
+    "character_row",
     "character_table",
     "character_value",
     "check_partition",
+    "class_sizes",
     "conjugate",
     "enumerate_partitions",
     "format_partition",
@@ -80,17 +80,13 @@ __all__ = [
     "is_odd",
     "kronecker",
     "length",
-    "load_character_table",
     "membership_t1",
     "membership_t2",
     "parse_partition",
     "rectangle_invariant_multiplicity",
-    "save_character_table",
     "scale",
     "schur_dimension",
-    "set_cache_dir",
     "tensor_decompose",
-    "tensor_decompose_bounded",
     "theorem1_coefficient",
     "theorem1_decomposition",
     "theorem1_weights",

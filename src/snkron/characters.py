@@ -2,31 +2,31 @@
 
 Character values are computed by the border-strip (Murnaghan-Nakayama)
 recursion over beta numbers, stripping the largest remaining cycle first so
-the recursion depth is bounded by the number of cycles.  A memoized full
-table builder serves as the substrate for the Kronecker coefficient oracle.
+the recursion depth is bounded by the number of cycles.  Removing a border
+strip never adds a row, so the recursion on a shape with at most L rows only
+visits shapes with at most L rows.
+
+The unit of work is a row: ``character_row(lam)`` is the character of
+``lam`` on every class of the symmetric group on |lam| letters, memoized per
+partition.  The Kronecker coefficient oracle reads only the rows its query
+needs, and ``character_table(n)`` assembles all p(n) rows from the same memo.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
-Concurrency: ``character_value`` and ``character_table`` are pure; the
-memo caches behind them are ordinary dicts whose insertions are atomic, so
-concurrent callers are safe and, at worst, duplicate some work while always
-observing identical results.
+Concurrency: every function here is pure; the memos behind them (the
+``_char`` cache and the dicts of rows, class sizes and tables) only ever
+insert values, and dict insertions are atomic, so concurrent callers are
+safe and, at worst, duplicate some work while always observing identical
+results.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from functools import lru_cache
 from math import factorial
 
-from .partitions import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    parse_partition,
-)
+from .partitions import Partition, check_partition, enumerate_partitions
 
 CycleType = Partition
 
@@ -38,21 +38,13 @@ __all__ = [
     "DEFAULT_CAP",
     "centralizer_order",
     "character_value",
+    "character_row",
+    "class_sizes",
     "character_table",
-    "save_character_table",
-    "load_character_table",
-    "set_cache_dir",
 ]
 
 
-def centralizer_order(rho: CycleType) -> int:
-    """Order of the centralizer of a permutation of cycle type ``rho``.
-
-    Equals prod(m^a_m * a_m!) over the distinct part sizes m, where a_m is
-    the multiplicity of m.  The conjugacy class has n!/centralizer_order
-    elements.
-    """
-    rho = check_partition(rho)
+def _centralizer(rho: CycleType) -> int:
     z = 1
     mult = 0
     for i, part in enumerate(rho):
@@ -62,6 +54,16 @@ def centralizer_order(rho: CycleType) -> int:
             z *= factorial(mult)
             mult = 0
     return z
+
+
+def centralizer_order(rho: CycleType) -> int:
+    """Order of the centralizer of a permutation of cycle type ``rho``.
+
+    Equals prod(m^a_m * a_m!) over the distinct part sizes m, where a_m is
+    the multiplicity of m.  The conjugacy class has n!/centralizer_order
+    elements.
+    """
+    return _centralizer(check_partition(rho))
 
 
 @lru_cache(maxsize=None)
@@ -104,6 +106,49 @@ def character_value(lam: Partition, rho: CycleType) -> int:
             f"|{lam}| = {sum(lam)} vs |{rho}| = {sum(rho)}"
         )
     return _char(lam, rho)
+
+
+def _check_size(n: int, cap: int) -> None:
+    # The cap keeps accidental huge computations out; p(24) = 1575 classes.
+    if n < 0:
+        raise ValueError(f"no symmetric group on {n} letters")
+    if n > cap:
+        raise ValueError(f"characters of S_{n} exceed the cap n <= {cap}")
+
+
+_rows: dict[Partition, tuple[int, ...]] = {}
+_class_sizes: dict[int, tuple[int, ...]] = {}
+
+
+def _row(lam: Partition, classes: tuple[CycleType, ...]) -> tuple[int, ...]:
+    row = _rows.get(lam)
+    if row is None:
+        row = _rows.setdefault(lam, tuple(_char(lam, rho) for rho in classes))
+    return row
+
+
+def character_row(lam: Partition) -> tuple[int, ...]:
+    """Values of the irreducible ``lam`` on every class, memoized per partition.
+
+    Columns are the cycle types of ``enumerate_partitions(|lam|)`` in order.
+    Raises ValueError when |lam| exceeds ``DEFAULT_CAP``.
+    """
+    lam = check_partition(lam)
+    n = sum(lam)
+    _check_size(n, DEFAULT_CAP)
+    return _row(lam, enumerate_partitions(n))
+
+
+def class_sizes(n: int) -> tuple[int, ...]:
+    """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order."""
+    classes = enumerate_partitions(n)
+    sizes = _class_sizes.get(n)
+    if sizes is None:
+        order = factorial(n)
+        sizes = _class_sizes.setdefault(
+            n, tuple(order // _centralizer(rho) for rho in classes)
+        )
+    return sizes
 
 
 class CharacterTable:
@@ -155,122 +200,21 @@ class CharacterTable:
                     )
 
 
-def _build_table(n: int) -> CharacterTable:
-    parts = enumerate_partitions(n)
-    rows = {lam: tuple(_char(lam, rho) for rho in parts) for lam in parts}
-    orders = {rho: centralizer_order(rho) for rho in parts}
-    return CharacterTable(n, parts, rows, orders)
-
-
 _tables: dict[int, CharacterTable] = {}
-_cache_dir: str | None = None
-
-
-def set_cache_dir(path: str | None) -> None:
-    """Enable (or disable, with None) the on-disk TSV table cache."""
-    global _cache_dir
-    _cache_dir = path
 
 
 def character_table(n: int, *, cap: int = DEFAULT_CAP) -> CharacterTable:
     """Memoized complete character table of the symmetric group on ``n`` letters.
 
-    Raises ValueError when ``n`` is negative or exceeds ``cap`` (the cap
-    keeps accidental huge builds out; p(24) = 1575 rows is the default
-    ceiling).  When a cache directory is configured, tables are read from
-    and written to ``s<n>.tsv`` files there.
+    Its rows are those of ``character_row``.  Raises ValueError when ``n``
+    is negative or exceeds ``cap`` (p(24) = 1575 rows is the default
+    ceiling).
     """
-    if n < 0:
-        raise ValueError(f"no symmetric group on {n} letters")
-    if n > cap:
-        raise ValueError(f"character table for n={n} exceeds the cap {cap}")
+    _check_size(n, cap)
+    parts = enumerate_partitions(n)
     table = _tables.get(n)
     if table is None:
-        table = _load_from_cache_dir(n)
-        if table is None:
-            table = _build_table(n)
-            _save_to_cache_dir(table)
-        _tables[n] = table
+        rows = {lam: _row(lam, parts) for lam in parts}
+        orders = {rho: _centralizer(rho) for rho in parts}
+        table = _tables.setdefault(n, CharacterTable(n, parts, rows, orders))
     return table
-
-
-def _partition_text(lam: Partition) -> str:
-    # TSV cells use the parseable input grammar, so the empty partition is "0".
-    return ",".join(str(x) for x in lam) if lam else "0"
-
-
-def save_character_table(table: CharacterTable, path: str) -> None:
-    """Write a table as TSV, one ``lam<TAB>rho<TAB>value`` record per entry.
-
-    Partitions are comma-separated part lists ("0" for the empty partition);
-    records appear row by row in enumeration order.
-    """
-    lines = []
-    for lam in table.partitions:
-        row = table.rows[lam]
-        for rho, value in zip(table.partitions, row):
-            lines.append(f"{_partition_text(lam)}\t{_partition_text(rho)}\t{value}\n")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as handle:
-        handle.writelines(lines)
-    os.replace(tmp, path)
-
-
-def load_character_table(path: str) -> CharacterTable:
-    """Read a TSV table written by ``save_character_table`` and validate it.
-
-    Column orthogonality is checked before the table is trusted; a file
-    that is incomplete, malformed, or fails orthogonality raises ValueError.
-    """
-    values: dict[tuple[Partition, Partition], int] = {}
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-            lam = parse_partition(fields[0])
-            rho = parse_partition(fields[1])
-            values[(lam, rho)] = int(fields[2])
-    if not values:
-        raise ValueError(f"{path}: empty character table file")
-    sizes = {sum(lam) for lam, _ in values} | {sum(rho) for _, rho in values}
-    if len(sizes) != 1:
-        raise ValueError(f"{path}: mixed symmetric group sizes {sorted(sizes)}")
-    n = sizes.pop()
-    parts = enumerate_partitions(n)
-    try:
-        rows = {lam: tuple(values[(lam, rho)] for rho in parts) for lam in parts}
-    except KeyError as missing:
-        raise ValueError(f"{path}: incomplete table, missing entry {missing}") from None
-    orders = {rho: centralizer_order(rho) for rho in parts}
-    table = CharacterTable(n, parts, rows, orders)
-    table.validate()
-    return table
-
-
-def _cache_path(n: int) -> str:
-    assert _cache_dir is not None
-    return os.path.join(_cache_dir, f"s{n}.tsv")
-
-
-def _load_from_cache_dir(n: int) -> CharacterTable | None:
-    if _cache_dir is None:
-        return None
-    path = _cache_path(n)
-    if not os.path.exists(path):
-        return None
-    try:
-        return load_character_table(path)
-    except (ValueError, OSError) as exc:
-        print(f"warning: ignoring bad table cache {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _save_to_cache_dir(table: CharacterTable) -> None:
-    if _cache_dir is None:
-        return
-    os.makedirs(_cache_dir, exist_ok=True)
-    save_character_table(table, _cache_path(table.n))

@@ -18,13 +18,8 @@ import sys
 import time
 
 from . import closed_forms
-from .characters import DEFAULT_CAP, character_table, set_cache_dir
-from .kronecker import (
-    Decomposition,
-    kronecker,
-    tensor_decompose,
-    tensor_decompose_bounded,
-)
+from .characters import DEFAULT_CAP, character_table
+from .kronecker import Decomposition, kronecker, tensor_decompose
 from .partitions import (
     Partition,
     format_partition,
@@ -135,11 +130,7 @@ def cmd_tensor(args: argparse.Namespace, started: float) -> int:
         record["entries"] = _entries_payload(closed)
         _emit(args, record, started)
         return 0
-    oracle = (
-        tensor_decompose(lam, mu)
-        if bound is None
-        else tensor_decompose_bounded(lam, mu, bound)
-    )
+    oracle = tensor_decompose(lam, mu, bound)
     record["entries"] = _entries_payload(oracle)
     if args.mode == "both":
         agree = oracle == closed
@@ -158,14 +149,15 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     scale = 2 if args.theorem == 1 else 4
     if scale * args.n_max > DEFAULT_CAP:
         raise ValueError(
-            f"n-max {args.n_max} needs character tables past the cap {DEFAULT_CAP}"
+            f"n-max {args.n_max} needs characters of S_{scale * args.n_max}, "
+            f"past the cap {DEFAULT_CAP}"
         )
     all_ok = True
     for n in range(1, args.n_max + 1):
         if args.theorem == 1:
             ok = closed_forms.theorem1_decomposition(n) == tensor_decompose((n, n), (n, n))
         else:
-            ok = closed_forms.theorem2_decomposition(n) == tensor_decompose_bounded(
+            ok = closed_forms.theorem2_decomposition(n) == tensor_decompose(
                 (2 * n, 2 * n), (n, n, n, n), 3
             )
         print(f"theorem={args.theorem} n={n} {'pass' if ok else 'FAIL'}")
@@ -245,12 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "with closed forms for two-row rectangle shapes.",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="enable the on-disk character table cache in DIR",
-    )
-    parser.add_argument(
         "--no-timing",
         action="store_true",
         help="omit the time_ms field so outputs are byte-comparable",
@@ -305,8 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.cache_dir:
-        set_cache_dir(args.cache_dir)
     started = time.monotonic()
     try:
         return args.func(args, started)

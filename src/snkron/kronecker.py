@@ -2,19 +2,21 @@
 
 This is the ground-truth side of the library: a coefficient is the class
 sum (1/n!) * sum_rho |class(rho)| * chi_lam(rho) * chi_mu(rho) * chi_nu(rho),
-computed as one integer sum divided once by n!.  Exact divisibility of that
-sum is asserted on every call; a failure would mean the character engine is
-broken, so it raises instead of returning garbage.
+computed as one integer sum divided once by n!.  It reads only the three
+character rows it needs and the class sizes, never a whole table.  Exact
+divisibility of that sum is asserted on every call; a failure would mean the
+character engine is broken, so it raises instead of returning garbage.
 
-Given a built character table the functions here are pure; per-constituent
-computations are independent and deterministic.
+The functions here are pure; per-constituent computations are independent
+and deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
-from .characters import character_table
+from .characters import character_row, class_sizes
 from .partitions import (
     Partition,
     check_partition,
@@ -26,7 +28,6 @@ __all__ = [
     "Decomposition",
     "kronecker",
     "tensor_decompose",
-    "tensor_decompose_bounded",
     "rectangle_invariant_multiplicity",
 ]
 
@@ -71,14 +72,11 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     mu = check_partition(mu)
     nu = check_partition(nu)
     n = _common_size(lam, mu, nu)
-    table = character_table(n)
+    rows = (character_row(lam), character_row(mu), character_row(nu))
     total = sum(
-        size * a * b * c
-        for size, a, b, c in zip(
-            table.class_sizes, table.rows[lam], table.rows[mu], table.rows[nu]
-        )
+        size * a * b * c for size, a, b, c in zip(class_sizes(n), *rows)
     )
-    mult, rem = divmod(total, table.group_order)
+    mult, rem = divmod(total, factorial(n))
     if rem or mult < 0:
         raise RuntimeError(
             f"class sum {total} is not a nonnegative multiple of {n}!, "
@@ -87,32 +85,26 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     return mult
 
 
-def tensor_decompose(lam: Partition, mu: Partition) -> Decomposition:
-    """Full decomposition of lam (x) mu into irreducibles with multiplicities."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = _common_size(lam, mu)
-    entries: dict[Partition, int] = {}
-    for nu in enumerate_partitions(n):
-        mult = kronecker(lam, mu, nu)
-        if mult:
-            entries[nu] = mult
-    return Decomposition(n, entries)
+def tensor_decompose(
+    lam: Partition, mu: Partition, max_length: int | None = None
+) -> Decomposition:
+    """Decomposition of lam (x) mu into irreducibles with multiplicities.
 
-
-def tensor_decompose_bounded(lam: Partition, mu: Partition, max_length: int) -> Decomposition:
-    """Partial decomposition keeping constituents with at most ``max_length`` parts.
-
-    Candidates are filtered by length before any character work, so small
-    bounds skip most of the table.
+    With ``max_length``, only constituents with at most that many parts are
+    kept.  A constituent never has more than len(lam) * len(mu) parts
+    (Dvir, J. Algebra 1993), so candidates past either bound are skipped
+    before any character work; every other candidate is one ``kronecker``.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
-    if max_length < 1:
+    if max_length is not None and max_length < 1:
         raise ValueError(f"length bound must be positive, got {max_length}")
     n = _common_size(lam, mu)
+    bound = len(lam) * len(mu)
+    if max_length is not None:
+        bound = min(bound, max_length)
     entries: dict[Partition, int] = {}
-    for nu in enumerate_partitions(n, max_length):
+    for nu in enumerate_partitions(n, bound):
         mult = kronecker(lam, mu, nu)
         if mult:
             entries[nu] = mult

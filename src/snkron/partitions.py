@@ -53,13 +53,13 @@ def check_partition(parts: Iterable[int]) -> Partition:
 def parse_partition(text: str) -> Partition:
     """Parse the comma-separated text form of a partition, e.g. ``"4,2,1"``.
 
-    The single token ``"0"`` denotes the empty partition.
+    Parts are ASCII digits separated by single commas, with no spaces or
+    signs.  The single token ``"0"`` denotes the empty partition.
     """
-    try:
-        parts = [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse partition from {text!r}") from None
-    return check_partition(parts)
+    tokens = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"cannot parse partition from {text!r}")
+    return check_partition(int(tok) for tok in tokens)
 
 
 def format_partition(lam: Iterable[int]) -> str:

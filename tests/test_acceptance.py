@@ -13,7 +13,7 @@ from snkron.closed_forms import (
     theorem2_coefficient,
     theorem2_decomposition,
 )
-from snkron.kronecker import kronecker, tensor_decompose, tensor_decompose_bounded
+from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import (
     enumerate_partitions,
     hook_dimension,
@@ -32,24 +32,24 @@ def report(criterion, description, failures):
 
 def test_criterion_1_theorem1_exactness():
     failures = []
-    for n in range(1, 9):
+    for n in range(1, 12):
         closed = theorem1_decomposition(n)
         oracle = tensor_decompose((n, n), (n, n))
         if closed != oracle:
             failures.append((n, closed.entries, oracle.entries))
         if set(oracle.entries.values()) - {1}:
             failures.append((n, "not multiplicity free"))
-    report(1, "theorem-1 closed form equals oracle for n=1..8", failures)
+    report(1, "theorem-1 closed form equals oracle for n=1..11", failures)
 
 
 def test_criterion_2_theorem2_exactness():
     failures = []
-    for n in range(1, 5):
+    for n in range(1, 7):
         closed = theorem2_decomposition(n)
-        oracle = tensor_decompose_bounded((2 * n, 2 * n), (n, n, n, n), 3)
+        oracle = tensor_decompose((2 * n, 2 * n), (n, n, n, n), 3)
         if closed != oracle:
             failures.append((n, closed.entries, oracle.entries))
-    report(2, "theorem-2 closed form equals bounded oracle for n=1..4", failures)
+    report(2, "theorem-2 closed form equals bounded oracle for n=1..6", failures)
 
 
 def test_criterion_3_semigroup_equivalence():

@@ -5,13 +5,11 @@ import pytest
 from snkron.characters import (
     DEFAULT_CAP,
     centralizer_order,
+    character_row,
     character_table,
     character_value,
-    load_character_table,
-    save_character_table,
-    set_cache_dir,
+    class_sizes,
 )
-import snkron.characters as characters
 from snkron.partitions import conjugate, enumerate_partitions, hook_dimension
 
 from oracles import S3_TABLE, S4_TABLE, brute_force_character_table
@@ -125,67 +123,30 @@ def test_cap_enforced():
         character_table(-1)
 
 
-def test_tsv_round_trip(tmp_path):
-    table = character_table(5)
-    path = str(tmp_path / "s5.tsv")
-    save_character_table(table, path)
-    loaded = load_character_table(path)
-    assert loaded.n == 5
-    assert loaded.rows == table.rows
-    assert loaded.centralizer_orders == table.centralizer_orders
+def test_character_row_cap_enforced():
+    with pytest.raises(ValueError, match="cap"):
+        character_row((DEFAULT_CAP + 1,))
 
 
-def test_load_rejects_corrupt_table(tmp_path):
-    table = character_table(4)
-    path = str(tmp_path / "s4.tsv")
-    save_character_table(table, path)
-    lines = open(path).read().splitlines()
-    fields = lines[3].split("\t")
-    lines[3] = "\t".join([fields[0], fields[1], str(int(fields[2]) + 1)])
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        load_character_table(path)
+def test_class_sizes_match_centralizers():
+    for n in range(13):
+        sizes = class_sizes(n)
+        assert sizes == character_table(n).class_sizes
+        assert sizes == tuple(
+            math.factorial(n) // centralizer_order(rho) for rho in enumerate_partitions(n)
+        )
 
 
-def test_load_rejects_incomplete_table(tmp_path):
-    table = character_table(3)
-    path = str(tmp_path / "s3.tsv")
-    save_character_table(table, path)
-    lines = open(path).read().splitlines()
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(ValueError):
-        load_character_table(path)
-
-
-@pytest.fixture
-def cache_dir(tmp_path):
-    set_cache_dir(str(tmp_path))
-    try:
-        yield tmp_path
-    finally:
-        set_cache_dir(None)
-
-
-def test_cache_dir_saves_and_loads(cache_dir, monkeypatch):
-    characters._tables.pop(6, None)
-    table = character_table(6)
-    assert (cache_dir / "s6.tsv").exists()
-
-    # A fresh lookup must come from disk: break the builder and drop the memo.
-    characters._tables.pop(6, None)
-    monkeypatch.setattr(characters, "_build_table", None)
-    reloaded = character_table(6)
-    assert reloaded.rows == table.rows
-
-
-def test_cache_dir_ignores_corrupt_file(cache_dir, capsys):
-    characters._tables.pop(4, None)
-    character_table(4)
-    path = cache_dir / "s4.tsv"
-    path.write_text("garbage\n")
-    characters._tables.pop(4, None)
-    table = character_table(4)
-    assert table.rows == S4_TABLE
-    assert "ignoring bad table cache" in capsys.readouterr().err
+def test_row_memo_matches_table(cold_memo):
+    # Rows read one by one on a cold memo, shortest shapes last, must equal
+    # the rows of a table assembled on another cold memo.
+    rows = {}
+    for n in range(13):
+        for lam in reversed(enumerate_partitions(n)):
+            rows[lam] = character_row(lam)
+    cold_memo()
+    for n in range(13):
+        table = character_table(n)
+        assert {lam: rows[lam] for lam in table.partitions} == table.rows
+        for lam in table.partitions:
+            assert character_row(lam) is table.rows[lam]

@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
 
+import snkron
 from snkron.cli import _closed_decomposition, _decomposition_diff
 from snkron.kronecker import Decomposition
 
+# The child interpreter imports the same snkron as the tests, installed or not.
+SRC = os.path.dirname(os.path.dirname(snkron.__file__))
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "snkron", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -44,6 +51,13 @@ def test_kron_parse_error_exits_2():
     code, _, err = run_cli("kron", "2,x", "2", "2")
     assert code == 2
     assert "error" in err
+
+
+def test_kron_spaced_partition_exits_2():
+    code, out, err = run_cli("kron", "3, 1", "2,2", "4")
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_2():
@@ -188,15 +202,6 @@ def test_output_is_byte_identical_without_timing():
     second = run_cli("--no-timing", "tensor", "2,2", "2,2", "--mode", "both")
     assert first == second
     assert "time_ms" not in json.loads(first[1])
-
-
-def test_cache_dir_round_trip(tmp_path):
-    cache = str(tmp_path)
-    first = run_cli("--cache-dir", cache, "--no-timing", "kron", "2,2", "2,2", "2,2")
-    assert (tmp_path / "s4.tsv").exists()
-    second = run_cli("--cache-dir", cache, "--no-timing", "kron", "2,2", "2,2", "2,2")
-    assert first == second
-    assert json.loads(first[1])["result"] == 1
 
 
 def test_decomposition_diff_reporting():

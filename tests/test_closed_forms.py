@@ -6,7 +6,7 @@ from snkron.closed_forms import (
     theorem2_coefficient,
     theorem2_decomposition,
 )
-from snkron.kronecker import kronecker, tensor_decompose, tensor_decompose_bounded
+from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import enumerate_partitions
 
 
@@ -70,7 +70,7 @@ def test_theorem2_coefficient_examples():
 def test_theorem2_matches_oracle():
     for n in range(1, 5):
         closed = theorem2_decomposition(n)
-        oracle = tensor_decompose_bounded((2 * n, 2 * n), (n, n, n, n), 3)
+        oracle = tensor_decompose((2 * n, 2 * n), (n, n, n, n), 3)
         assert closed == oracle
 
 

@@ -37,7 +37,8 @@ def test_parse_and_format():
     assert parse_partition("0") == ()
     assert format_partition((4, 2, 1)) == "4,2,1"
     assert format_partition(()) == "()"
-    for text in ["", "1,2", "a", "-1"]:
+    bad = ["", "1,2", "a", "-1", "3, 1", " 3,1", "3,1 ", "\u0663,\u0661", "1_0", "+3", "1,,2", "1,"]
+    for text in bad:
         with pytest.raises(ValueError):
             parse_partition(text)
 
