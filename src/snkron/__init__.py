@@ -11,10 +11,8 @@ from .characters import (
     CharacterTable,
     CycleType,
     DEFAULT_CAP,
-    centralizer_order,
     character_row,
     character_table,
-    character_value,
     class_sizes,
 )
 from .closed_forms import (
@@ -26,7 +24,6 @@ from .closed_forms import (
 from .kronecker import (
     Decomposition,
     kronecker,
-    rectangle_invariant_multiplicity,
     tensor_decompose,
 )
 from .partitions import (
@@ -38,7 +35,6 @@ from .partitions import (
     hook_dimension,
     is_even,
     is_odd,
-    length,
     parse_partition,
     scale,
     schur_dimension,
@@ -66,10 +62,8 @@ __all__ = [
     "SemiInvariantWeight",
     "T1_W_GENERATORS",
     "T2_W_GENERATORS",
-    "centralizer_order",
     "character_row",
     "character_table",
-    "character_value",
     "check_partition",
     "class_sizes",
     "conjugate",
@@ -79,11 +73,9 @@ __all__ = [
     "is_even",
     "is_odd",
     "kronecker",
-    "length",
     "membership_t1",
     "membership_t2",
     "parse_partition",
-    "rectangle_invariant_multiplicity",
     "scale",
     "schur_dimension",
     "tensor_decompose",

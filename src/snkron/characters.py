@@ -9,13 +9,14 @@ visits shapes with at most L rows.
 The unit of work is a row: ``character_row(lam)`` is the character of
 ``lam`` on every class of the symmetric group on |lam| letters, memoized per
 partition.  The Kronecker coefficient oracle reads only the rows its query
-needs, and ``character_table(n)`` assembles all p(n) rows from the same memo.
+needs, and ``character_table(n)`` returns a record of all p(n) rows, read
+from the same memo.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
 Concurrency: every function here is pure; the memos behind them (the
-``_char`` cache and the dicts of rows, class sizes and tables) only ever
+``_char`` cache and the dicts of rows and class sizes) only ever
 insert values, and dict insertions are atomic, so concurrent callers are
 safe and, at worst, duplicate some work while always observing identical
 results.
@@ -23,6 +24,7 @@ results.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -36,8 +38,6 @@ __all__ = [
     "CycleType",
     "CharacterTable",
     "DEFAULT_CAP",
-    "centralizer_order",
-    "character_value",
     "character_row",
     "class_sizes",
     "character_table",
@@ -54,16 +54,6 @@ def _centralizer(rho: CycleType) -> int:
             z *= factorial(mult)
             mult = 0
     return z
-
-
-def centralizer_order(rho: CycleType) -> int:
-    """Order of the centralizer of a permutation of cycle type ``rho``.
-
-    Equals prod(m^a_m * a_m!) over the distinct part sizes m, where a_m is
-    the multiplicity of m.  The conjugacy class has n!/centralizer_order
-    elements.
-    """
-    return _centralizer(check_partition(rho))
 
 
 @lru_cache(maxsize=None)
@@ -96,24 +86,12 @@ def _char(lam: Partition, rho: Partition) -> int:
     return total
 
 
-def character_value(lam: Partition, rho: CycleType) -> int:
-    """Exact character value of the irreducible ``lam`` on the class ``rho``."""
-    lam = check_partition(lam)
-    rho = check_partition(rho)
-    if sum(lam) != sum(rho):
-        raise ValueError(
-            f"partition and cycle type live in different symmetric groups: "
-            f"|{lam}| = {sum(lam)} vs |{rho}| = {sum(rho)}"
-        )
-    return _char(lam, rho)
-
-
-def _check_size(n: int, cap: int) -> None:
+def _check_size(n: int) -> None:
     # The cap keeps accidental huge computations out; p(24) = 1575 classes.
     if n < 0:
         raise ValueError(f"no symmetric group on {n} letters")
-    if n > cap:
-        raise ValueError(f"characters of S_{n} exceed the cap n <= {cap}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"characters of S_{n} exceed the cap n <= {DEFAULT_CAP}")
 
 
 _rows: dict[Partition, tuple[int, ...]] = {}
@@ -135,7 +113,7 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     """
     lam = check_partition(lam)
     n = sum(lam)
-    _check_size(n, DEFAULT_CAP)
+    _check_size(n)
     return _row(lam, enumerate_partitions(n))
 
 
@@ -151,70 +129,24 @@ def class_sizes(n: int) -> tuple[int, ...]:
     return sizes
 
 
+@dataclass(frozen=True)
 class CharacterTable:
     """Complete character table of the symmetric group on ``n`` letters.
 
-    Rows are indexed by partitions of n (irreducibles) and columns by cycle
-    types, both in ``enumerate_partitions(n)`` order.  Carries centralizer
-    orders as class data; all values are exact integers.
+    ``rows[lam]`` is ``character_row(lam)``; rows and columns both follow
+    ``partitions``, the ``enumerate_partitions(n)`` order.
     """
 
-    def __init__(
-        self,
-        n: int,
-        partitions: tuple[Partition, ...],
-        rows: dict[Partition, tuple[int, ...]],
-        centralizer_orders: dict[CycleType, int],
-    ):
-        self.n = n
-        self.partitions = partitions
-        self.rows = rows
-        self.centralizer_orders = centralizer_orders
-        self.group_order = factorial(n)
-        self.class_sizes = tuple(
-            self.group_order // centralizer_orders[rho] for rho in partitions
-        )
-        self._col = {rho: i for i, rho in enumerate(partitions)}
-
-    def value(self, lam: Partition, rho: CycleType) -> int:
-        return self.rows[lam][self._col[rho]]
-
-    def class_size(self, rho: CycleType) -> int:
-        return self.class_sizes[self._col[rho]]
-
-    def validate(self) -> None:
-        """Check column orthogonality; raise ValueError on any failure.
-
-        Columns rho, sigma must satisfy
-        sum_lam chi(lam, rho) * chi(lam, sigma) = centralizer_order(rho) * [rho == sigma].
-        """
-        cols = list(zip(*(self.rows[lam] for lam in self.partitions)))
-        for i, rho in enumerate(self.partitions):
-            for j in range(i, len(self.partitions)):
-                got = sum(a * b for a, b in zip(cols[i], cols[j]))
-                want = self.centralizer_orders[rho] if i == j else 0
-                if got != want:
-                    raise ValueError(
-                        f"column orthogonality fails at ({rho}, {self.partitions[j]}): "
-                        f"{got} != {want}"
-                    )
+    n: int
+    partitions: tuple[Partition, ...]
+    rows: dict[Partition, tuple[int, ...]]
 
 
-_tables: dict[int, CharacterTable] = {}
+def character_table(n: int) -> CharacterTable:
+    """All p(n) rows of the character table of the symmetric group on ``n`` letters.
 
-
-def character_table(n: int, *, cap: int = DEFAULT_CAP) -> CharacterTable:
-    """Memoized complete character table of the symmetric group on ``n`` letters.
-
-    Its rows are those of ``character_row``.  Raises ValueError when ``n``
-    is negative or exceeds ``cap`` (p(24) = 1575 rows is the default
-    ceiling).
+    Raises ValueError when ``n`` is negative or exceeds ``DEFAULT_CAP``.
     """
-    _check_size(n, cap)
+    _check_size(n)
     parts = enumerate_partitions(n)
-    table = _tables.get(n)
-    if table is None:
-        rows = {lam: _row(lam, parts) for lam in parts}
-        orders = {rho: _centralizer(rho) for rho in parts}
-        table = _tables.setdefault(n, CharacterTable(n, parts, rows, orders))
-    return table
+    return CharacterTable(n, parts, {lam: _row(lam, parts) for lam in parts})

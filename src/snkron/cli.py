@@ -6,19 +6,22 @@ and "time_ms" unless --no-timing is given; the verify command instead
 prints one plain pass/fail line per case.  Identical invocations produce
 byte-identical output once timing is suppressed.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 closed form unavailable for the requested shape.
+Exit codes: 0 success, 1 verification mismatch, 2 usage, input or output
+error (including a reader that closes stdout early), 3 closed form
+unavailable for the requested shape.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from math import factorial
 
 from . import closed_forms
-from .characters import DEFAULT_CAP, character_table
+from .characters import DEFAULT_CAP, character_table, class_sizes
 from .kronecker import Decomposition, kronecker, tensor_decompose
 from .partitions import (
     Partition,
@@ -165,25 +168,19 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
     return 0 if all_ok else 1
 
 
-def _partition_text(lam: Partition) -> str:
-    return ",".join(str(x) for x in lam) if lam else "0"
-
-
 def cmd_chartable(args: argparse.Namespace, started: float) -> int:
     table = character_table(args.n)
     if args.format == "tsv":
         for lam in table.partitions:
             for rho, value in zip(table.partitions, table.rows[lam]):
-                print(f"{_partition_text(lam)}\t{_partition_text(rho)}\t{value}")
+                print(f"{format_partition(lam)}\t{format_partition(rho)}\t{value}")
         return 0
     record = {
         "command": "chartable",
         "inputs": {"n": args.n, "format": args.format},
         "result": {
             "classes": [list(rho) for rho in table.partitions],
-            "centralizer_orders": [
-                table.centralizer_orders[rho] for rho in table.partitions
-            ],
+            "centralizer_orders": [factorial(args.n) // size for size in class_sizes(args.n)],
             "characters": [
                 {"partition": list(lam), "values": list(table.rows[lam])}
                 for lam in table.partitions
@@ -293,7 +290,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        return args.func(args, started)
+        code = args.func(args, started)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader is gone; send what is still buffered nowhere, so the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2

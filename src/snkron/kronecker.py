@@ -28,7 +28,6 @@ __all__ = [
     "Decomposition",
     "kronecker",
     "tensor_decompose",
-    "rectangle_invariant_multiplicity",
 ]
 
 
@@ -109,24 +108,3 @@ def tensor_decompose(
         if mult:
             entries[nu] = mult
     return Decomposition(n, entries)
-
-
-def _rectangle(height: int, width: int) -> Partition:
-    return (width,) * height if height and width else ()
-
-
-def rectangle_invariant_multiplicity(u: int, v: int, n: int, lam: Partition) -> int:
-    """Multiplicity of the weight-``lam`` Schur module among degree n*u*v invariants.
-
-    For spaces of dimensions d*u and d*v tensored with a third factor, the
-    invariants of the two special linear groups decompose with multiplicity
-    kronecker((n*v)^u, (n*u)^v, lam); this wraps that rectangular coefficient.
-    """
-    if u < 1 or v < 1:
-        raise ValueError(f"rectangle sides must be positive, got u={u}, v={v}")
-    if n < 0:
-        raise ValueError(f"degree index must be nonnegative, got {n}")
-    lam = check_partition(lam)
-    if sum(lam) != n * u * v:
-        raise ValueError(f"|lam| = {sum(lam)} but the invariant degree is {n * u * v}")
-    return kronecker(_rectangle(u, n * v), _rectangle(v, n * u), lam)

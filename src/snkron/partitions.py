@@ -20,7 +20,6 @@ __all__ = [
     "check_partition",
     "parse_partition",
     "format_partition",
-    "length",
     "conjugate",
     "enumerate_partitions",
     "is_even",
@@ -63,14 +62,9 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(lam: Iterable[int]) -> str:
-    """Display form: comma-separated parts, ``"()"`` for the empty partition."""
+    """Text form that ``parse_partition`` reads back: ``"4,2,1"``, ``"0"`` for ()."""
     lam = check_partition(lam)
-    return ",".join(str(x) for x in lam) if lam else "()"
-
-
-def length(lam: Iterable[int]) -> int:
-    """Number of nonzero parts."""
-    return len(check_partition(lam))
+    return ",".join(str(x) for x in lam) if lam else "0"
 
 
 def conjugate(lam: Iterable[int]) -> Partition:

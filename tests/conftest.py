@@ -7,7 +7,6 @@ def clear_character_memos():
     characters._char.cache_clear()
     characters._rows.clear()
     characters._class_sizes.clear()
-    characters._tables.clear()
 
 
 @pytest.fixture

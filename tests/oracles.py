@@ -4,13 +4,16 @@ Nothing here goes through the library's recursions: partition counts come
 from the pentagonal-number recurrence, dimensions from explicit tableau
 enumeration and the Weyl product formula, and small character tables from
 counting fixed tabloids of permutation modules and peeling off irreducibles
-in dominance-compatible order.
+in dominance-compatible order.  Centralizer orders, for the
+column-orthogonality check of a library table, come from counting the
+permutations of each cycle type.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 
 @lru_cache(maxsize=None)
@@ -138,6 +141,40 @@ def brute_force_character_table(n):
         assert inner(current, current) == 1
         chars[lam] = current
     return chars
+
+
+def centralizer_order(rho):
+    """n! over the number of permutations of cycle type rho.
+
+    The count places the cycles one at a time (choose their m points, then
+    one of (m-1)! cyclic orders) and divides out the orders of equal cycles.
+    """
+    remaining = sum(rho)
+    size = 1
+    for m in rho:
+        size *= comb(remaining, m) * factorial(m - 1)
+        remaining -= m
+    for mult in Counter(rho).values():
+        size //= factorial(mult)
+    return factorial(sum(rho)) // size
+
+
+def check_column_orthogonality(table):
+    """Raise ValueError unless the columns of ``table`` are orthogonal.
+
+    Columns rho, sigma must satisfy
+    sum_lam chi(lam, rho) * chi(lam, sigma) = centralizer_order(rho) * [rho == sigma].
+    """
+    parts = table.partitions
+    cols = list(zip(*(table.rows[lam] for lam in parts)))
+    for i, rho in enumerate(parts):
+        for j in range(i, len(parts)):
+            got = sum(a * b for a, b in zip(cols[i], cols[j]))
+            want = centralizer_order(rho) if i == j else 0
+            if got != want:
+                raise ValueError(
+                    f"column orthogonality fails at ({rho}, {parts[j]}): {got} != {want}"
+                )
 
 
 # Textbook character tables, rows and columns in decreasing lexicographic

@@ -4,50 +4,56 @@ import pytest
 
 from snkron.characters import (
     DEFAULT_CAP,
-    centralizer_order,
     character_row,
     character_table,
-    character_value,
     class_sizes,
 )
 from snkron.partitions import conjugate, enumerate_partitions, hook_dimension
 
-from oracles import S3_TABLE, S4_TABLE, brute_force_character_table
+from oracles import (
+    S3_TABLE,
+    S4_TABLE,
+    brute_force_character_table,
+    centralizer_order,
+    check_column_orthogonality,
+)
+
+
+def value(lam, rho):
+    """chi_lam(rho), read from the row of lam."""
+    return character_row(lam)[enumerate_partitions(sum(rho)).index(rho)]
+
+
+def centralizer(rho):
+    """n! / |class(rho)|, from the library's class sizes."""
+    n = sum(rho)
+    return math.factorial(n) // class_sizes(n)[enumerate_partitions(n).index(rho)]
 
 
 def test_centralizer_order_examples():
-    assert centralizer_order((1, 1, 1)) == 6
-    assert centralizer_order((3,)) == 3
-    assert centralizer_order((2, 1)) == 2
-    assert centralizer_order(()) == 1
+    assert centralizer((1, 1, 1)) == 6
+    assert centralizer((3,)) == 3
+    assert centralizer((2, 1)) == 2
+    assert centralizer(()) == 1
 
 
 def test_class_sizes_sum_to_group_order():
     for n in range(11):
-        total = sum(
-            math.factorial(n) // centralizer_order(rho)
-            for rho in enumerate_partitions(n)
-        )
-        assert total == math.factorial(n)
+        assert sum(class_sizes(n)) == math.factorial(n)
 
 
 def test_trivial_and_sign_characters():
     for n in range(7):
         for rho in enumerate_partitions(n):
-            assert character_value((n,) if n else (), rho) == 1
+            assert value((n,) if n else (), rho) == 1
             sign = (-1) ** (n - len(rho))
-            assert character_value((1,) * n, rho) == sign
+            assert value((1,) * n, rho) == sign
 
 
 def test_standard_representation_of_s3():
-    assert character_value((2, 1), (1, 1, 1)) == 2
-    assert character_value((2, 1), (2, 1)) == 0
-    assert character_value((2, 1), (3,)) == -1
-
-
-def test_size_mismatch_rejected():
-    with pytest.raises(ValueError):
-        character_value((2, 1), (2, 2))
+    assert value((2, 1), (1, 1, 1)) == 2
+    assert value((2, 1), (2, 1)) == 0
+    assert value((2, 1), (3,)) == -1
 
 
 def test_table_s2():
@@ -67,14 +73,14 @@ def test_identity_column_is_hook_dimension():
         table = character_table(n)
         identity = (1,) * n
         for lam in table.partitions:
-            assert table.value(lam, identity) == hook_dimension(lam)
+            assert value(lam, identity) == hook_dimension(lam)
     assert len(character_table(16).partitions) == 231
 
 
 def test_first_column_s3():
     table = character_table(3)
     identity = (1, 1, 1)
-    assert [table.value(lam, identity) for lam in table.partitions] == [1, 2, 1]
+    assert [value(lam, identity) for lam in table.partitions] == [1, 2, 1]
 
 
 def test_row_orthogonality():
@@ -85,14 +91,14 @@ def test_row_orthogonality():
             for mu in parts[i:]:
                 total = sum(
                     size * a * b
-                    for size, a, b in zip(table.class_sizes, table.rows[lam], table.rows[mu])
+                    for size, a, b in zip(class_sizes(n), table.rows[lam], table.rows[mu])
                 )
-                assert total == (table.group_order if lam == mu else 0)
+                assert total == (math.factorial(n) if lam == mu else 0)
 
 
 def test_column_orthogonality():
     for n in range(11):
-        character_table(n).validate()
+        check_column_orthogonality(character_table(n))
 
 
 def test_conjugation_twists_by_sign():
@@ -102,7 +108,7 @@ def test_conjugation_twists_by_sign():
             dual = conjugate(lam)
             for rho in table.partitions:
                 sign = (-1) ** (n - len(rho))
-                assert table.value(dual, rho) == sign * table.value(lam, rho)
+                assert value(dual, rho) == sign * value(lam, rho)
 
 
 def test_agrees_with_permutation_module_brute_force():
@@ -111,14 +117,12 @@ def test_agrees_with_permutation_module_brute_force():
         table = character_table(n)
         for lam in table.partitions:
             for rho in table.partitions:
-                assert table.value(lam, rho) == expected[lam][rho]
+                assert value(lam, rho) == expected[lam][rho]
 
 
 def test_cap_enforced():
     with pytest.raises(ValueError):
         character_table(DEFAULT_CAP + 1)
-    with pytest.raises(ValueError):
-        character_table(5, cap=4)
     with pytest.raises(ValueError):
         character_table(-1)
 
@@ -130,9 +134,7 @@ def test_character_row_cap_enforced():
 
 def test_class_sizes_match_centralizers():
     for n in range(13):
-        sizes = class_sizes(n)
-        assert sizes == character_table(n).class_sizes
-        assert sizes == tuple(
+        assert class_sizes(n) == tuple(
             math.factorial(n) // centralizer_order(rho) for rho in enumerate_partitions(n)
         )
 

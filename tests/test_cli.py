@@ -3,21 +3,28 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import snkron
-from snkron.cli import _closed_decomposition, _decomposition_diff
+from snkron import closed_forms
+from snkron.cli import _closed_decomposition, _decomposition_diff, main
 from snkron.kronecker import Decomposition
 
 # The child interpreter imports the same snkron as the tests, installed or not.
 SRC = os.path.dirname(os.path.dirname(snkron.__file__))
 
 
-def run_cli(*args):
+def child_env():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "snkron", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -232,3 +239,87 @@ def test_closed_shape_detection():
     assert _closed_decomposition((3, 1), (3, 1), None) is None
     assert _closed_decomposition((4,), (4,), None) is None
     assert _closed_decomposition((2, 2), (2, 2), 2).entries == {(4,): 1, (2, 2): 1}
+
+
+# argv -> expected exit code, and for exit 0 what stdout holds: one JSON
+# record ("json") or plain lines ("lines").
+CONTRACT = [
+    (["--no-timing", "kron", "2,2", "2,2", "1,1,1,1"], 0, "json"),
+    (["kron", "2,1", "2", "2,1"], 2, None),
+    (["kron", "2,x", "2", "2"], 2, None),
+    (["kron", "3, 1", "2,2", "4"], 2, None),
+    (["kron", "25", "25", "25"], 2, None),
+    (["kron", "2", "2"], 2, None),
+    (["tensor", "2,1", "2,1"], 0, "json"),
+    (["tensor", "2,2", "2,2", "--mode", "both"], 0, "json"),
+    (["tensor", "2,2,2,2", "4,4", "--max-length", "3", "--mode", "closed"], 0, "json"),
+    (["tensor", "3,1", "3,1", "--mode", "closed"], 3, None),
+    (["tensor", "4,4", "2,2,2,2", "--mode", "both"], 3, None),
+    (["tensor", "2,2", "2,2", "--max-length", "0"], 2, None),
+    (["tensor", "2,1", "2,2"], 2, None),
+    (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None),
+    (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines"),
+    (["verify", "--theorem", "1", "--n-max", "13"], 2, None),
+    (["verify", "--theorem", "1", "--n-max", "-1"], 2, None),
+    (["verify", "--theorem", "3", "--n-max", "1"], 2, None),
+    (["chartable", "0"], 0, "json"),
+    (["chartable", "4", "--format", "tsv"], 0, "lines"),
+    (["chartable", "25"], 2, None),
+    (["chartable", "-1"], 2, None),
+    (["dim", "0", "--gl", "3"], 0, "json"),
+    (["dim", "2,1", "--gl", "0"], 2, None),
+    (["semigroup", "t2", "4,4,4"], 0, "json"),
+    (["semigroup", "t1", "1,1,1,1,1"], 2, None),
+    (["semigroup", "t3", "2"], 2, None),
+    ([], 2, None),
+]
+
+
+def test_cli_contract_table(capsys):
+    for argv, want, shape in CONTRACT:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == want, (argv, code, err)
+        if code:
+            assert out == "", argv
+            assert "Traceback" not in err, argv
+        elif shape == "json":
+            json.loads(out)
+        else:
+            assert out and all(line for line in out.splitlines()), argv
+
+
+def test_mismatch_exits_1(capsys, monkeypatch):
+    wrong = Decomposition(4, {(4,): 1})
+    monkeypatch.setattr(closed_forms, "theorem1_decomposition", lambda n: wrong)
+    assert main(["--no-timing", "tensor", "2,2", "2,2", "--mode", "both"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["modes_agree"] is False
+    assert record["diff"]["oracle_only"]
+    assert main(["verify", "--theorem", "1", "--n-max", "1"]) == 1
+    assert capsys.readouterr().out == "theorem=1 n=1 FAIL\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_reader_exits_2(unbuffered):
+    # About 470 kB of output, far past a pipe buffer, so the writer must
+    # meet the closed pipe whether it writes line by line or in blocks.
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "snkron", "chartable", "14", "--format", "tsv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"14\t14\t1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err

@@ -10,7 +10,6 @@ from snkron.partitions import (
     hook_dimension,
     is_even,
     is_odd,
-    length,
     parse_partition,
     scale,
     schur_dimension,
@@ -36,17 +35,14 @@ def test_parse_and_format():
     assert parse_partition("4,2,1") == (4, 2, 1)
     assert parse_partition("0") == ()
     assert format_partition((4, 2, 1)) == "4,2,1"
-    assert format_partition(()) == "()"
+    assert format_partition(()) == "0"
+    for n in range(9):
+        for lam in enumerate_partitions(n):
+            assert parse_partition(format_partition(lam)) == lam
     bad = ["", "1,2", "a", "-1", "3, 1", " 3,1", "3,1 ", "\u0663,\u0661", "1_0", "+3", "1,,2", "1,"]
     for text in bad:
         with pytest.raises(ValueError):
             parse_partition(text)
-
-
-def test_length():
-    assert length(()) == 0
-    assert length((2, 2)) == 2
-    assert length((3, 3, 2, 2, 2)) == 5
 
 
 def test_conjugate_examples():

@@ -1,8 +1,10 @@
+from itertools import zip_longest
+
 import pytest
 
 from snkron.closed_forms import theorem1_coefficient, theorem2_coefficient
 from snkron.kronecker import kronecker
-from snkron.partitions import enumerate_partitions
+from snkron.partitions import check_partition, enumerate_partitions
 from snkron.weights import (
     T1_W_GENERATORS,
     T2_W_GENERATORS,
@@ -113,3 +115,26 @@ def test_membership_t2_equals_closed_form_index_set():
         for lam in enumerate_partitions(4 * n, 3):
             member = membership_t2(lam) is not None
             assert member == (theorem2_coefficient(lam) == 1)
+
+
+def _members(membership, rows, max_size):
+    return [
+        (lam, combo.coefficients)
+        for n in range(max_size + 1)
+        for lam in enumerate_partitions(n, rows)
+        if (combo := membership(lam)) is not None
+    ]
+
+
+def test_semigroup_closure():
+    # The part-wise sum of two members is a member whose coefficients are
+    # the sums of theirs, over every pair of small members.
+    for membership, rows, max_size in ((membership_t1, 4, 12), (membership_t2, 3, 16)):
+        members = _members(membership, rows, max_size)
+        assert len(members) > 10
+        for i, (lam, a) in enumerate(members):
+            for mu, b in members[i:]:
+                total = check_partition(x + y for x, y in zip_longest(lam, mu, fillvalue=0))
+                combo = membership(total)
+                assert combo is not None, (lam, mu)
+                assert combo.coefficients == tuple(x + y for x, y in zip(a, b)), (lam, mu)
