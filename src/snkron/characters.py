@@ -1,23 +1,35 @@
 """Exact irreducible characters of symmetric groups.
 
-Character values are computed by the border-strip (Murnaghan-Nakayama)
-recursion over beta numbers, stripping the largest remaining cycle first so
-the recursion depth is bounded by the number of cycles.  Removing a border
-strip never adds a row, so the recursion on a shape with at most L rows only
-visits shapes with at most L rows.
+Character values come from the border-strip (Murnaghan-Nakayama) rule in
+its abacus form (James & Kerber, *The Representation Theory of the
+Symmetric Group*, 2.7).  A shape is the set of its beta numbers, held as the
+bits of an int: row i of lam sets bit lam[i] + (len(lam) - 1 - i).  Removing
+a border strip of length r moves one bead from b to an empty place b - r;
+its sign is the parity of the beads passed over.  Trailing beads (zero rows)
+are shifted off after each move, so every shape has one key.  Removing a
+border strip never adds a row, so the recursion on a shape with at most L
+rows only visits shapes with at most L rows.
+
+The recursion builds whole row segments.  ``_char(mask, size, bound)`` is
+the character of one shape on every class of S_size whose cycles are all at
+most ``bound``, in ``enumerate_partitions`` order.  That order groups the
+classes by their first cycle r, so the segment for r is the signed sum of
+the sub-rows ``_char(mask - strip, size - r, r)`` over the r-strips, and
+one memo entry stands for a (shape, size, largest cycle) triple.  The full
+row of lam is ``_char(beads(lam), n, n)``.
 
 The unit of work is a row: ``character_row(lam)`` is the character of
-``lam`` on every class of the symmetric group on |lam| letters, memoized per
-partition.  The Kronecker coefficient oracle reads only the rows its query
-needs, and ``character_table(n)`` returns a record of all p(n) rows, read
-from the same memo.
+``lam`` on every class of the symmetric group on |lam| letters.  The
+Kronecker coefficient oracle reads only the rows its query needs, and
+``character_table(n)`` returns a record of all p(n) rows, read from the
+same memo.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
-Concurrency: every function here is pure; the memos behind them (the
-``_char`` cache and the dicts of rows and class sizes) only ever
-insert values, and dict insertions are atomic, so concurrent callers are
+Concurrency: every function here is pure; the two memos behind them (the
+``_char`` lru_cache of row segments and the ``_class_sizes`` dict) only ever
+insert values, and their insertions are atomic, so concurrent callers are
 safe and, at worst, duplicate some work while always observing identical
 results.
 """
@@ -56,34 +68,43 @@ def _centralizer(rho: CycleType) -> int:
     return z
 
 
+def _beads(lam: Partition) -> int:
+    # Abacus of lam: bit lam[i] + (len(lam) - 1 - i) is set for every row i.
+    mask = 0
+    for i, part in enumerate(reversed(lam)):
+        mask |= 1 << (part + i)
+    return mask
+
+
 @lru_cache(maxsize=None)
-def _char(lam: Partition, rho: Partition) -> int:
-    # Strip one border strip of length rho[0] from lam in all possible ways.
-    if not rho:
-        return 1
-    strip = rho[0]
-    rest = rho[1:]
-    k = len(lam)
-    beta = [lam[i] + k - 1 - i for i in range(k)]  # strictly decreasing
-    beta_set = set(beta)
-    total = 0
-    for i, b in enumerate(beta):
-        low = b - strip
-        if low < 0 or low in beta_set:
-            continue
-        height = 0
-        j = i + 1
-        while j < k and beta[j] > low:
-            height += 1
-            j += 1
-        new_beta = sorted(beta_set - {b} | {low}, reverse=True)
-        new_lam = tuple(x - (k - 1 - m) for m, x in enumerate(new_beta))
-        cut = len(new_lam)
-        while cut and new_lam[cut - 1] == 0:
-            cut -= 1
-        term = _char(new_lam[:cut], rest)
-        total += -term if height % 2 else term
-    return total
+def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
+    # One segment per first cycle r (see the module docstring): the signed
+    # sum of the sub-rows left by moving a bead from b down to an empty b - r.
+    if not size:
+        return (1,)
+    row: list[int] = []
+    for r in range(min(size, bound), 0, -1):
+        segment = None
+        movable = mask & ~(mask << r) & ~((1 << r) - 1)
+        while movable:
+            b = movable.bit_length() - 1
+            movable ^= 1 << b
+            moved = mask ^ (1 << b) ^ (1 << (b - r))
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
+            sub = _char(moved, size - r, r)
+            odd = ((mask >> (b - r + 1)) & ((1 << (r - 1)) - 1)).bit_count() & 1
+            if segment is None:
+                segment = [-x for x in sub] if odd else sub
+            elif odd:
+                segment = [x - y for x, y in zip(segment, sub)]
+            else:
+                segment = [x + y for x, y in zip(segment, sub)]
+        if segment is None:
+            # No r-strip: zeros, as many as the trivial character's sub-row.
+            row.extend([0] * len(_char(1 << (size - r), size - r, r)))
+        else:
+            row.extend(segment)
+    return tuple(row)
 
 
 def _check_size(n: int) -> None:
@@ -94,15 +115,7 @@ def _check_size(n: int) -> None:
         raise ValueError(f"characters of S_{n} exceed the cap n <= {DEFAULT_CAP}")
 
 
-_rows: dict[Partition, tuple[int, ...]] = {}
 _class_sizes: dict[int, tuple[int, ...]] = {}
-
-
-def _row(lam: Partition, classes: tuple[CycleType, ...]) -> tuple[int, ...]:
-    row = _rows.get(lam)
-    if row is None:
-        row = _rows.setdefault(lam, tuple(_char(lam, rho) for rho in classes))
-    return row
 
 
 def character_row(lam: Partition) -> tuple[int, ...]:
@@ -114,7 +127,7 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     lam = check_partition(lam)
     n = sum(lam)
     _check_size(n)
-    return _row(lam, enumerate_partitions(n))
+    return _char(_beads(lam), n, n)
 
 
 def class_sizes(n: int) -> tuple[int, ...]:
@@ -149,4 +162,4 @@ def character_table(n: int) -> CharacterTable:
     """
     _check_size(n)
     parts = enumerate_partitions(n)
-    return CharacterTable(n, parts, {lam: _row(lam, parts) for lam in parts})
+    return CharacterTable(n, parts, {lam: _char(_beads(lam), n, n) for lam in parts})

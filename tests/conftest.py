@@ -5,7 +5,6 @@ import snkron.characters as characters
 
 def clear_character_memos():
     characters._char.cache_clear()
-    characters._rows.clear()
     characters._class_sizes.clear()
 
 

@@ -4,9 +4,11 @@ Nothing here goes through the library's recursions: partition counts come
 from the pentagonal-number recurrence, dimensions from explicit tableau
 enumeration and the Weyl product formula, and small character tables from
 counting fixed tabloids of permutation modules and peeling off irreducibles
-in dominance-compatible order.  Centralizer orders, for the
-column-orthogonality check of a library table, come from counting the
-permutations of each cycle type.
+in dominance-compatible order.  ``mn_character`` is a second border-strip
+engine, one value per (shape, cycle type) over beta-number lists, to check
+the library's abacus row segments at sizes the brute force cannot reach.
+Centralizer orders, for the column-orthogonality check of a library table,
+come from counting the permutations of each cycle type.
 """
 
 import itertools
@@ -141,6 +143,37 @@ def brute_force_character_table(n):
         assert inner(current, current) == 1
         chars[lam] = current
     return chars
+
+
+@lru_cache(maxsize=None)
+def mn_character(lam, rho):
+    """chi_lam(rho) by the per-class border-strip recursion over beta-number lists."""
+    # Strip one border strip of length rho[0] from lam in all possible ways.
+    if not rho:
+        return 1
+    strip = rho[0]
+    rest = rho[1:]
+    k = len(lam)
+    beta = [lam[i] + k - 1 - i for i in range(k)]  # strictly decreasing
+    beta_set = set(beta)
+    total = 0
+    for i, b in enumerate(beta):
+        low = b - strip
+        if low < 0 or low in beta_set:
+            continue
+        height = 0
+        j = i + 1
+        while j < k and beta[j] > low:
+            height += 1
+            j += 1
+        new_beta = sorted(beta_set - {b} | {low}, reverse=True)
+        new_lam = tuple(x - (k - 1 - m) for m, x in enumerate(new_beta))
+        cut = len(new_lam)
+        while cut and new_lam[cut - 1] == 0:
+            cut -= 1
+        term = mn_character(new_lam[:cut], rest)
+        total += -term if height % 2 else term
+    return total
 
 
 def centralizer_order(rho):

@@ -32,14 +32,14 @@ def report(criterion, description, failures):
 
 def test_criterion_1_theorem1_exactness():
     failures = []
-    for n in range(1, 12):
+    for n in range(1, 13):
         closed = theorem1_decomposition(n)
         oracle = tensor_decompose((n, n), (n, n))
         if closed != oracle:
             failures.append((n, closed.entries, oracle.entries))
         if set(oracle.entries.values()) - {1}:
             failures.append((n, "not multiplicity free"))
-    report(1, "theorem-1 closed form equals oracle for n=1..11", failures)
+    report(1, "theorem-1 closed form equals oracle for n=1..12", failures)
 
 
 def test_criterion_2_theorem2_exactness():

@@ -1,13 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import snkron.characters as characters
 from snkron.characters import (
     DEFAULT_CAP,
     character_row,
     character_table,
     class_sizes,
 )
+from snkron.kronecker import tensor_decompose
 from snkron.partitions import conjugate, enumerate_partitions, hook_dimension
 
 from oracles import (
@@ -16,6 +19,7 @@ from oracles import (
     brute_force_character_table,
     centralizer_order,
     check_column_orthogonality,
+    mn_character,
 )
 
 
@@ -152,3 +156,28 @@ def test_row_memo_matches_table(cold_memo):
         assert {lam: rows[lam] for lam in table.partitions} == table.rows
         for lam in table.partitions:
             assert character_row(lam) is table.rows[lam]
+
+
+def test_rows_match_per_class_recursion(cold_memo):
+    for n in range(15):
+        classes = enumerate_partitions(n)
+        for lam in classes:
+            assert character_row(lam) == tuple(mn_character(lam, rho) for rho in classes)
+
+
+def test_memo_stays_small_on_s24_square(cold_memo):
+    # One entry per (shape, size, largest cycle), not per cycle suffix.
+    tensor_decompose((12, 12), (12, 12))
+    assert characters._char.cache_info().currsize < 10_000
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(13, DEFAULT_CAP).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))))
+def test_row_properties_past_brute_force(lam):
+    n = sum(lam)
+    row = character_row(lam)
+    classes = enumerate_partitions(n)
+    assert sum(size * x * x for size, x in zip(class_sizes(n), row)) == math.factorial(n)
+    assert row[-1] == hook_dimension(lam)
+    signs = [(-1) ** (n - len(rho)) for rho in classes]
+    assert character_row(conjugate(lam)) == tuple(s * x for s, x in zip(signs, row))
