@@ -42,7 +42,18 @@ def _entries_payload(dec: Decomposition) -> list[dict]:
 def _emit(args: argparse.Namespace, record: dict, started: float) -> None:
     if not args.no_timing:
         record["time_ms"] = int((time.monotonic() - started) * 1000)
-    print(json.dumps(record))
+    # Exact results such as f^(8000,8000) pass the interpreter's int-to-str
+    # digit limit (Python >= 3.10.7).  Lift it only while the record is
+    # written, so input parsing and in-process callers keep theirs.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(record)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
 
 
 def _decomposition_diff(oracle: Decomposition, closed: Decomposition) -> dict:

@@ -1,7 +1,9 @@
 """Closed-form tensor decompositions for two-row rectangle shapes.
 
 Two multiplicity-free decompositions are implemented directly from their
-index-set descriptions, with O(1) membership predicates per candidate:
+index-set descriptions.  Both index sets are generated from partitions of n
+(and of n - 2), so a decomposition costs only the constituents it returns;
+the coefficient functions are the matching membership predicates:
 
 * theorem 1: the square (n,n) (x) (n,n) decomposes with multiplicity one
   exactly at the even partitions of 2n with at most 4 parts and at the
@@ -53,15 +55,21 @@ def theorem1_coefficient(nu: Partition) -> int:
 
 
 def theorem1_decomposition(n: int) -> Decomposition:
-    """Multiplicity-free decomposition of (n,n) (x) (n,n)."""
+    """Multiplicity-free decomposition of (n,n) (x) (n,n).
+
+    Entries are the even partitions 2*mu over mu of n with at most 4 parts,
+    and the all-odd partitions 2*mu + (1,1,1,1) over mu of n - 2 padded to
+    4 parts, merged in decreasing lexicographic order.  Only constituents
+    are generated; no other partition of 2n is looked at.
+    """
     if n < 0:
         raise ValueError(f"rectangle width must be nonnegative, got {n}")
-    entries = {
-        nu: 1
-        for nu in enumerate_partitions(2 * n, 4)
-        if theorem1_coefficient(nu)
-    }
-    return Decomposition(2 * n, entries)
+    even = [scale(mu, 2) for mu in enumerate_partitions(n, 4)]
+    odd = [
+        tuple(2 * part + 1 for part in (mu + (0, 0, 0, 0))[:4])
+        for mu in (enumerate_partitions(n - 2, 4) if n >= 2 else ())
+    ]
+    return Decomposition(2 * n, dict.fromkeys(sorted(even + odd, reverse=True), 1))
 
 
 def theorem2_coefficient(nu: Partition) -> int:

@@ -10,7 +10,7 @@ every function in this module is pure, so concurrent use needs no locking.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 from typing import Iterable
 
 Partition = tuple[int, ...]
@@ -128,9 +128,16 @@ def scale(lam: Iterable[int], c: int) -> Partition:
 
 
 def _hook_product(lam: Partition) -> int:
-    conj = conjugate(lam)
+    # Columns lam[c] <= j < lam[c-1] all have height c, so along a row i < c
+    # their hooks are consecutive integers: each run of equal-height columns
+    # is one falling factorial, and no conjugate is needed.
+    ext = lam + (0,)
+    drops = [c for c in range(1, len(ext)) if ext[c] < ext[c - 1]]
     return prod(
-        row - j + conj[j] - i - 1 for i, row in enumerate(lam) for j in range(row)
+        perm(row - ext[c] + c - i - 1, ext[c - 1] - ext[c])
+        for i, row in enumerate(lam)
+        for c in drops
+        if c > i
     )
 
 

@@ -69,12 +69,12 @@ def test_criterion_3_semigroup_equivalence():
 
 def test_criterion_4_dimension_identities():
     failures = []
-    for n in range(1, 9):
+    for n in range(1, 41):
         total = theorem1_decomposition(n).dimension_sum()
         catalan = math.comb(2 * n, n) // (n + 1)
         if total != catalan**2:
             failures.append((n, total, catalan**2))
-    report(4, "theorem-1 dimensions sum to Catalan(n)^2 for n=1..8", failures)
+    report(4, "theorem-1 dimensions sum to Catalan(n)^2 for n=1..40", failures)
 
 
 def test_criterion_5_character_engine_integrity():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -187,6 +188,32 @@ def test_dim_command():
     assert run_json("dim", "0")["result"] == 1
 
 
+def test_dim_past_the_int_digit_limit(capsys):
+    # f^(8000,8000) = Catalan(8000) has 4 806 digits, past the default
+    # int-to-str limit of Python >= 3.10.7.  The record is written anyway,
+    # the caller's limit is restored, and parsing keeps the limit.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert main(["--no-timing", "dim", "8000,8000"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    out = capsys.readouterr().out
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        record = json.loads(out)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert record == {
+        "command": "dim",
+        "inputs": {"partition": [8000, 8000], "gl": None},
+        "result": math.comb(16000, 8000) // 8001,
+    }
+    if limit is not None:
+        assert main(["dim", "9" * (limit + 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error" in err and "Traceback" not in err
+
+
 def test_semigroup_command():
     record = run_json("semigroup", "t1", "3,1,1,1")
     assert record["result"]["member"] is True
@@ -258,6 +285,7 @@ CONTRACT = [
     (["tensor", "2,2", "2,2", "--max-length", "0"], 2, None),
     (["tensor", "2,1", "2,2"], 2, None),
     (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None),
+    (["tensor", ",".join(["1"] * 60), ",".join(["1"] * 60)], 2, None),
     (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines"),
     (["verify", "--theorem", "1", "--n-max", "13"], 2, None),
     (["verify", "--theorem", "1", "--n-max", "-1"], 2, None),

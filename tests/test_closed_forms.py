@@ -50,6 +50,20 @@ def test_theorem1_coefficient_matches_decomposition():
             assert dec.multiplicity(nu) == expected
 
 
+def test_theorem1_matches_filter_definition():
+    # Past the oracle's reach: the generated index set equals its definition
+    # as a filter of the partitions of 2n with at most 4 parts, in order.
+    for n in range(41):
+        want = [nu for nu in enumerate_partitions(2 * n, 4) if theorem1_coefficient(nu)]
+        assert list(theorem1_decomposition(n).entries) == want
+
+
+def test_decomposition_entries_iterate_in_decreasing_order():
+    for n in range(41):
+        for dec in (theorem1_decomposition(n), theorem2_decomposition(n)):
+            assert list(dec.entries) == sorted(dec.entries, reverse=True)
+
+
 def test_theorem2_decomposition_small_cases():
     assert theorem2_decomposition(0).entries == {(): 1}
     assert theorem2_decomposition(1).entries == {(2, 2): 1}

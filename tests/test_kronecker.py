@@ -200,3 +200,6 @@ def test_kronecker_cap_enforced():
         kronecker((n,), (n,), (n,))
     with pytest.raises(ValueError, match="cap"):
         tensor_decompose((13, 13), (13, 13))
+    # The cap fires before the p(70) candidates are enumerated.
+    with pytest.raises(ValueError, match="cap"):
+        tensor_decompose((1,) * 70, (1,) * 70)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snkron.partitions import (
     check_partition,
@@ -108,9 +109,45 @@ def test_hook_dimension_examples():
 
 
 def test_hook_dimension_counts_standard_tableaux():
-    for n in range(7):
+    for n in range(19):
         for lam in enumerate_partitions(n):
             assert hook_dimension(lam) == count_standard_tableaux(lam)
+    for n in range(19, 41):
+        for lam in enumerate_partitions(n, 4):
+            assert hook_dimension(lam) == count_standard_tableaux(lam)
+
+
+def test_hook_dimension_extreme_shapes():
+    # Long rows, long columns and hooks: a hook product that grows faster
+    # than the cells of the shape shows up here as a slow test.
+    assert hook_dimension((1,) * 2000) == hook_dimension((2000,)) == 1
+    assert hook_dimension((1000,) + (1,) * 1000) == math.comb(1999, 1000)
+    assert hook_dimension((8000, 8000)) == math.comb(16000, 8000) // 8001
+
+
+@st.composite
+def partitions_to_300(draw):
+    size = draw(st.integers(0, 300))
+    parts = []
+    while size:
+        part = draw(st.integers(1, min(size, parts[-1]) if parts else size))
+        parts.append(part)
+        size -= part
+    return tuple(parts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(partitions_to_300())
+def test_hook_dimension_conjugate_and_branching(lam):
+    dim = hook_dimension(lam)
+    assert dim == hook_dimension(conjugate(lam))
+    if lam:
+        # Branching rule: remove each corner in turn.
+        below = lam[1:] + (0,)
+        corners = [i for i, part in enumerate(lam) if part > below[i]]
+        assert dim == sum(
+            hook_dimension(lam[:i] + (lam[i] - 1,) + lam[i + 1:]) for i in corners
+        )
 
 
 def test_hook_dimension_catalan_rectangles():
