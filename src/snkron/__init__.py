@@ -16,9 +16,8 @@ from .characters import (
     class_sizes,
 )
 from .closed_forms import (
-    theorem1_coefficient,
+    closed_form,
     theorem1_decomposition,
-    theorem2_coefficient,
     theorem2_decomposition,
 )
 from .kronecker import (
@@ -33,8 +32,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     hook_dimension,
-    is_even,
-    is_odd,
     parse_partition,
     scale,
     schur_dimension,
@@ -66,12 +63,11 @@ __all__ = [
     "character_table",
     "check_partition",
     "class_sizes",
+    "closed_form",
     "conjugate",
     "enumerate_partitions",
     "format_partition",
     "hook_dimension",
-    "is_even",
-    "is_odd",
     "kronecker",
     "membership_t1",
     "membership_t2",
@@ -79,10 +75,8 @@ __all__ = [
     "scale",
     "schur_dimension",
     "tensor_decompose",
-    "theorem1_coefficient",
     "theorem1_decomposition",
     "theorem1_weights",
-    "theorem2_coefficient",
     "theorem2_decomposition",
     "theorem2_weights",
 ]

@@ -131,7 +131,11 @@ def character_row(lam: Partition) -> tuple[int, ...]:
 
 
 def class_sizes(n: int) -> tuple[int, ...]:
-    """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order."""
+    """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order.
+
+    Raises ValueError when ``n`` is negative or exceeds ``DEFAULT_CAP``.
+    """
+    _check_size(n)
     classes = enumerate_partitions(n)
     sizes = _class_sizes.get(n)
     if sizes is None:

@@ -2,8 +2,7 @@
 
 Two multiplicity-free decompositions are implemented directly from their
 index-set descriptions.  Both index sets are generated from partitions of n
-(and of n - 2), so a decomposition costs only the constituents it returns;
-the coefficient functions are the matching membership predicates:
+(and of n - 2), so a decomposition costs only the constituents it returns:
 
 * theorem 1: the square (n,n) (x) (n,n) decomposes with multiplicity one
   exactly at the even partitions of 2n with at most 4 parts and at the
@@ -13,45 +12,51 @@ the coefficient functions are the matching membership predicates:
   most 3 parts consists of the doubled partitions 2*lam for lam of 2n with
   at most 3 parts and lam_2 + lam_3 - lam_1 nonnegative and even.
 
-Both generators agree with the character-theoretic oracle; the test suite
-checks that equality exhaustively at desk scale.
+``closed_form(lam, mu, max_length)`` is the one place that decides which
+pairs of shapes, under which length bound, a theorem covers.  The weight
+semigroup of the ``weights`` module states both index sets independently;
+the test suite checks the generators against it and against the
+character-theoretic oracle.
 """
 
 from __future__ import annotations
 
-from .kronecker import Decomposition
-from .partitions import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    is_even,
-    is_odd,
-    scale,
-)
+from .kronecker import Decomposition, _common_size
+from .partitions import Partition, check_partition, enumerate_partitions, scale
 
 __all__ = [
+    "closed_form",
     "theorem1_decomposition",
-    "theorem1_coefficient",
     "theorem2_decomposition",
-    "theorem2_coefficient",
 ]
 
 
-def theorem1_coefficient(nu: Partition) -> int:
-    """Kronecker coefficient of ``nu`` in (n,n) (x) (n,n), where n = |nu|/2.
+def closed_form(
+    lam: Partition, mu: Partition, max_length: int | None = None
+) -> Decomposition | None:
+    """Closed-form decomposition of lam (x) mu, or None where no theorem covers it.
 
-    Returns 1 iff nu is even with at most 4 parts, or odd with exactly
-    4 parts; otherwise 0.  Rejects partitions of odd size, which cannot
-    occur in a square of rectangles.
+    With n = |lam| = |mu|, theorem 1 covers lam = mu = (n/2, n/2) under any
+    bound, and theorem 2 covers {lam, mu} = {(n/2, n/2), (n/4, n/4, n/4, n/4)}
+    when ``max_length`` is at most 3.  Constituents with more than
+    ``max_length`` parts are dropped.  Raises ValueError on unequal sizes or
+    a bound below 1, as ``tensor_decompose`` does.
     """
-    nu = check_partition(nu)
-    if sum(nu) % 2:
-        raise ValueError(f"|nu| = {sum(nu)} is odd, not a tensor square size")
-    if is_even(nu) and len(nu) <= 4:
-        return 1
-    if is_odd(nu) and len(nu) == 4:
-        return 1
-    return 0
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = _common_size(lam, mu)
+    if max_length is not None and max_length < 1:
+        raise ValueError(f"length bound must be positive, got {max_length}")
+    # Each rectangle has size n only when its width divides n evenly.
+    two = check_partition((n // 2,) * 2)
+    four = check_partition((n // 4,) * 4)
+    if lam == mu == two:
+        dec = theorem1_decomposition(n // 2)
+    elif {lam, mu} == {two, four} and max_length is not None and max_length <= 3:
+        dec = theorem2_decomposition(n // 4)
+    else:
+        return None
+    return dec if max_length is None else dec.restrict_length(max_length)
 
 
 def theorem1_decomposition(n: int) -> Decomposition:
@@ -70,25 +75,6 @@ def theorem1_decomposition(n: int) -> Decomposition:
         for mu in (enumerate_partitions(n - 2, 4) if n >= 2 else ())
     ]
     return Decomposition(2 * n, dict.fromkeys(sorted(even + odd, reverse=True), 1))
-
-
-def theorem2_coefficient(nu: Partition) -> int:
-    """Coefficient of ``nu`` in the length-3 sub-sum of (2n,2n) (x) (n,n,n,n).
-
-    Requires at most 3 parts and size divisible by 4 (n = |nu|/4).  Returns
-    1 iff nu is even and nu_2 + nu_3 - nu_1 is nonnegative and divisible
-    by 4, i.e. iff nu = 2*lam for an admissible lam.
-    """
-    nu = check_partition(nu)
-    if len(nu) > 3:
-        raise ValueError(f"{nu} has more than 3 parts, outside the bounded product")
-    if sum(nu) % 4:
-        raise ValueError(f"|nu| = {sum(nu)} is not divisible by 4")
-    n1, n2, n3 = (nu + (0, 0, 0))[:3]
-    combo = n2 + n3 - n1
-    if is_even(nu) and combo >= 0 and combo % 4 == 0:
-        return 1
-    return 0
 
 
 def theorem2_decomposition(n: int) -> Decomposition:

@@ -96,9 +96,9 @@ def tensor_decompose(
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
+    n = _common_size(lam, mu)
     if max_length is not None and max_length < 1:
         raise ValueError(f"length bound must be positive, got {max_length}")
-    n = _common_size(lam, mu)
     # Every candidate reads these two rows; reading them first also applies
     # the cap before the p(n) candidates are enumerated.
     character_row(lam)

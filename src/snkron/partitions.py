@@ -1,4 +1,4 @@
-"""Integer partition arithmetic, enumeration, predicates, and dimension formulas.
+"""Integer partition arithmetic, enumeration, and dimension formulas.
 
 A partition is represented as a plain tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0.  Partitions are
@@ -22,8 +22,6 @@ __all__ = [
     "format_partition",
     "conjugate",
     "enumerate_partitions",
-    "is_even",
-    "is_odd",
     "scale",
     "hook_dimension",
     "schur_dimension",
@@ -107,16 +105,6 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
 
     extend([], n, n)
     return tuple(out)
-
-
-def is_even(lam: Iterable[int]) -> bool:
-    """True iff every part is even (vacuously true for the empty partition)."""
-    return all(part % 2 == 0 for part in check_partition(lam))
-
-
-def is_odd(lam: Iterable[int]) -> bool:
-    """True iff every part is odd (vacuously true for the empty partition)."""
-    return all(part % 2 == 1 for part in check_partition(lam))
 
 
 def scale(lam: Iterable[int], c: int) -> Partition:

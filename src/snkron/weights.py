@@ -6,7 +6,9 @@ with an open orbit, and the boundary divisors carry semi-invariants whose
 weights generate the full weight semigroup.  This module stores those
 weights (a triple of partitions plus the polynomial degree, one record per
 generator) and solves the nonnegative-integer membership problem for the
-third-factor components, reproducing the closed forms' index sets.
+third-factor components.  The members are the closed forms' index sets,
+stated independently of the generators in ``closed_forms``; the tests
+compare the two statements.
 
 Both membership solvers use a closed triangular solve; the generators are
 unimodular, so the combination is unique whenever it exists.

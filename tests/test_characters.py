@@ -129,6 +129,10 @@ def test_cap_enforced():
         character_table(DEFAULT_CAP + 1)
     with pytest.raises(ValueError):
         character_table(-1)
+    with pytest.raises(ValueError, match="cap"):
+        class_sizes(DEFAULT_CAP + 1)
+    with pytest.raises(ValueError):
+        class_sizes(-1)
 
 
 def test_character_row_cap_enforced():

@@ -8,7 +8,7 @@ import pytest
 
 import snkron
 from snkron import closed_forms
-from snkron.cli import _closed_decomposition, _decomposition_diff, main
+from snkron.cli import _decomposition_diff, main
 from snkron.kronecker import Decomposition
 
 # The child interpreter imports the same snkron as the tests, installed or not.
@@ -249,62 +249,46 @@ def test_decomposition_diff_reporting():
     ]
 
 
-def test_closed_shape_detection():
-    assert _closed_decomposition((2, 2), (2, 2), None).entries == {
-        (4,): 1,
-        (2, 2): 1,
-        (1, 1, 1, 1): 1,
-    }
-    assert _closed_decomposition((), (), None).entries == {(): 1}
-    assert _closed_decomposition((4, 4), (2, 2, 2, 2), 3).entries == {
-        (4, 4): 1,
-        (4, 2, 2): 1,
-    }
-    assert _closed_decomposition((2, 2, 2, 2), (4, 4), 3) is not None
-    assert _closed_decomposition((4, 4), (2, 2, 2, 2), 2).entries == {(4, 4): 1}
-    assert _closed_decomposition((4, 4), (2, 2, 2, 2), None) is None
-    assert _closed_decomposition((3, 1), (3, 1), None) is None
-    assert _closed_decomposition((4,), (4,), None) is None
-    assert _closed_decomposition((2, 2), (2, 2), 2).entries == {(4,): 1, (2, 2): 1}
-
-
-# argv -> expected exit code, and for exit 0 what stdout holds: one JSON
-# record ("json") or plain lines ("lines").
+# argv -> expected exit code, for exit 0 what stdout holds (one JSON record,
+# "json", or plain lines, "lines"), and otherwise a substring of stderr.
 CONTRACT = [
-    (["--no-timing", "kron", "2,2", "2,2", "1,1,1,1"], 0, "json"),
-    (["kron", "2,1", "2", "2,1"], 2, None),
-    (["kron", "2,x", "2", "2"], 2, None),
-    (["kron", "3, 1", "2,2", "4"], 2, None),
-    (["kron", "25", "25", "25"], 2, None),
-    (["kron", "2", "2"], 2, None),
-    (["tensor", "2,1", "2,1"], 0, "json"),
-    (["tensor", "2,2", "2,2", "--mode", "both"], 0, "json"),
-    (["tensor", "2,2,2,2", "4,4", "--max-length", "3", "--mode", "closed"], 0, "json"),
-    (["tensor", "3,1", "3,1", "--mode", "closed"], 3, None),
-    (["tensor", "4,4", "2,2,2,2", "--mode", "both"], 3, None),
-    (["tensor", "2,2", "2,2", "--max-length", "0"], 2, None),
-    (["tensor", "2,1", "2,2"], 2, None),
-    (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None),
-    (["tensor", ",".join(["1"] * 60), ",".join(["1"] * 60)], 2, None),
-    (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines"),
-    (["verify", "--theorem", "1", "--n-max", "13"], 2, None),
-    (["verify", "--theorem", "1", "--n-max", "-1"], 2, None),
-    (["verify", "--theorem", "3", "--n-max", "1"], 2, None),
-    (["chartable", "0"], 0, "json"),
-    (["chartable", "4", "--format", "tsv"], 0, "lines"),
-    (["chartable", "25"], 2, None),
-    (["chartable", "-1"], 2, None),
-    (["dim", "0", "--gl", "3"], 0, "json"),
-    (["dim", "2,1", "--gl", "0"], 2, None),
-    (["semigroup", "t2", "4,4,4"], 0, "json"),
-    (["semigroup", "t1", "1,1,1,1,1"], 2, None),
-    (["semigroup", "t3", "2"], 2, None),
-    ([], 2, None),
+    (["--no-timing", "kron", "2,2", "2,2", "1,1,1,1"], 0, "json", None),
+    (["kron", "2,1", "2", "2,1"], 2, None, "unequal sizes"),
+    (["kron", "2,x", "2", "2"], 2, None, "cannot parse"),
+    (["kron", "3, 1", "2,2", "4"], 2, None, "cannot parse"),
+    (["kron", "25", "25", "25"], 2, None, "cap"),
+    (["kron", "2", "2"], 2, None, "required"),
+    (["tensor", "2,1", "2,1"], 0, "json", None),
+    (["tensor", "2,2", "2,2", "--mode", "both"], 0, "json", None),
+    (["tensor", "2,2,2,2", "4,4", "--max-length", "3", "--mode", "closed"], 0, "json", None),
+    (["tensor", "3,1", "3,1", "--mode", "closed"], 3, None, "no closed form"),
+    (["tensor", "4,4", "2,2,2,2", "--mode", "both"], 3, None, "no closed form"),
+    (["tensor", "2,2", "2,2", "--max-length", "0"], 2, None, "length bound"),
+    (["tensor", "2,2", "2,2", "--max-length", "0", "--mode", "both"], 2, None, "length bound"),
+    (["tensor", "2,1", "2,2"], 2, None, "unequal sizes"),
+    (["tensor", "2,1", "2,2", "--mode", "closed"], 2, None, "unequal sizes"),
+    (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None, "invalid choice"),
+    (["tensor", ",".join(["1"] * 60), ",".join(["1"] * 60)], 2, None, "cap"),
+    (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines", None),
+    (["verify", "--theorem", "1", "--n-max", "13"], 2, None, "cap"),
+    (["verify", "--theorem", "2", "--n-max", "7"], 2, None, "cap"),
+    (["verify", "--theorem", "1", "--n-max", "-1"], 2, None, "nonnegative"),
+    (["verify", "--theorem", "3", "--n-max", "1"], 2, None, "invalid choice"),
+    (["chartable", "0"], 0, "json", None),
+    (["chartable", "4", "--format", "tsv"], 0, "lines", None),
+    (["chartable", "25"], 2, None, "cap"),
+    (["chartable", "-1"], 2, None, "no symmetric group"),
+    (["dim", "0", "--gl", "3"], 0, "json", None),
+    (["dim", "2,1", "--gl", "0"], 2, None, "GL dimension"),
+    (["semigroup", "t2", "4,4,4"], 0, "json", None),
+    (["semigroup", "t1", "1,1,1,1,1"], 2, None, "more than 4 parts"),
+    (["semigroup", "t3", "2"], 2, None, "invalid choice"),
+    ([], 2, None, "required"),
 ]
 
 
 def test_cli_contract_table(capsys):
-    for argv, want, shape in CONTRACT:
+    for argv, want, shape, want_err in CONTRACT:
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -314,6 +298,7 @@ def test_cli_contract_table(capsys):
         if code:
             assert out == "", argv
             assert "Traceback" not in err, argv
+            assert "error" in err and want_err in err, (argv, err)
         elif shape == "json":
             json.loads(out)
         else:

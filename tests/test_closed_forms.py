@@ -1,13 +1,9 @@
 import pytest
 
-from snkron.closed_forms import (
-    theorem1_coefficient,
-    theorem1_decomposition,
-    theorem2_coefficient,
-    theorem2_decomposition,
-)
+from snkron.closed_forms import closed_form, theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import enumerate_partitions
+from snkron.weights import membership_t1
 
 
 def test_theorem1_decomposition_small_cases():
@@ -22,15 +18,6 @@ def test_theorem1_decomposition_small_cases():
     }
 
 
-def test_theorem1_coefficient_examples():
-    assert theorem1_coefficient((4, 2)) == 1
-    assert theorem1_coefficient((3, 3)) == 0
-    assert theorem1_coefficient((5, 1, 1, 1)) == 1
-    assert theorem1_coefficient(()) == 1
-    with pytest.raises(ValueError):
-        theorem1_coefficient((2, 1))
-
-
 def test_theorem1_coefficient_spot_checked_against_oracle():
     assert kronecker((4, 4), (4, 4), (5, 1, 1, 1)) == 1
     assert kronecker((3, 3), (3, 3), (3, 3)) == 0
@@ -42,19 +29,12 @@ def test_theorem1_matches_oracle():
         assert theorem1_decomposition(n) == tensor_decompose((n, n), (n, n))
 
 
-def test_theorem1_coefficient_matches_decomposition():
-    for n in range(9):
-        dec = theorem1_decomposition(n)
-        for nu in enumerate_partitions(2 * n):
-            expected = 1 if len(nu) <= 4 and theorem1_coefficient(nu) else 0
-            assert dec.multiplicity(nu) == expected
-
-
 def test_theorem1_matches_filter_definition():
-    # Past the oracle's reach: the generated index set equals its definition
-    # as a filter of the partitions of 2n with at most 4 parts, in order.
+    # Past the oracle's reach: the generated index set equals the weight
+    # semigroup's members among the partitions of 2n with at most 4 parts,
+    # in order.
     for n in range(41):
-        want = [nu for nu in enumerate_partitions(2 * n, 4) if theorem1_coefficient(nu)]
+        want = [nu for nu in enumerate_partitions(2 * n, 4) if membership_t1(nu) is not None]
         assert list(theorem1_decomposition(n).entries) == want
 
 
@@ -70,29 +50,11 @@ def test_theorem2_decomposition_small_cases():
     assert theorem2_decomposition(2).entries == {(4, 4): 1, (4, 2, 2): 1}
 
 
-def test_theorem2_coefficient_examples():
-    assert theorem2_coefficient((4, 4)) == 1
-    assert theorem2_coefficient((4, 2, 2)) == 1
-    assert theorem2_coefficient((6, 2)) == 0
-    assert theorem2_coefficient(()) == 1
-    with pytest.raises(ValueError):
-        theorem2_coefficient((2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        theorem2_coefficient((4, 2))
-
-
 def test_theorem2_matches_oracle():
     for n in range(1, 5):
         closed = theorem2_decomposition(n)
         oracle = tensor_decompose((2 * n, 2 * n), (n, n, n, n), 3)
         assert closed == oracle
-
-
-def test_theorem2_coefficient_matches_decomposition():
-    for n in range(1, 5):
-        dec = theorem2_decomposition(n)
-        for nu in enumerate_partitions(4 * n, 3):
-            assert dec.multiplicity(nu) == theorem2_coefficient(nu)
 
 
 def test_both_closed_forms_are_multiplicity_free():
@@ -116,3 +78,42 @@ def test_theorem2_entries_are_doubled_partitions():
         for nu in theorem2_decomposition(n).entries:
             assert all(part % 2 == 0 for part in nu)
             assert len(nu) <= 3
+
+
+def test_closed_shape_detection():
+    assert closed_form((2, 2), (2, 2)).entries == {(4,): 1, (2, 2): 1, (1, 1, 1, 1): 1}
+    assert closed_form((), ()).entries == {(): 1}
+    assert closed_form((4, 4), (2, 2, 2, 2), 3).entries == {(4, 4): 1, (4, 2, 2): 1}
+    assert closed_form((2, 2, 2, 2), (4, 4), 3) is not None
+    assert closed_form((4, 4), (2, 2, 2, 2), 2).entries == {(4, 4): 1}
+    assert closed_form((4, 4), (2, 2, 2, 2)) is None
+    assert closed_form((3, 1), (3, 1)) is None
+    assert closed_form((4,), (4,)) is None
+    assert closed_form((2, 2), (2, 2), 2).entries == {(4,): 1, (2, 2): 1}
+
+
+def test_closed_form_rejects_bad_input():
+    with pytest.raises(ValueError):
+        closed_form((2, 1), (2, 2))
+    with pytest.raises(ValueError):
+        closed_form((2, 2), (2, 2), 0)
+
+
+def _covered(lam, mu, bound):
+    # Equal-size inputs: theorem 1 is a two-row rectangle squared, theorem 2
+    # a two-row by four-row rectangle pair under a bound of at most 3.
+    rectangles = len(set(lam)) <= 1 and len(set(mu)) <= 1
+    if lam == mu:
+        return rectangles and len(lam) in (0, 2)
+    pair = sorted((len(lam), len(mu))) == [2, 4]
+    return rectangles and pair and bound is not None and bound <= 3
+
+
+def test_closed_form_covers_exactly_the_two_families():
+    for n in range(13):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                for bound in (None, 1, 2, 3, 4, 5):
+                    got = closed_form(lam, mu, bound) is not None
+                    assert got == _covered(lam, mu, bound), (lam, mu, bound)

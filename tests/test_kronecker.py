@@ -1,8 +1,10 @@
 import random
 from concurrent.futures import ThreadPoolExecutor
+from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snkron.characters import DEFAULT_CAP, character_table, class_sizes
 from snkron.kronecker import Decomposition, kronecker, tensor_decompose
@@ -89,8 +91,6 @@ def test_vacuous_bound_equals_full():
 
 
 def test_full_symmetry_in_all_arguments():
-    from itertools import permutations
-
     for n in range(1, 7):
         parts = enumerate_partitions(n)
         for lam in parts:
@@ -203,3 +203,32 @@ def test_kronecker_cap_enforced():
     # The cap fires before the p(70) candidates are enumerated.
     with pytest.raises(ValueError, match="cap"):
         tensor_decompose((1,) * 70, (1,) * 70)
+
+
+def _same_size(count, low, high):
+    # ``count`` partitions of one n drawn from low..high, uniformly by shape.
+    return st.integers(low, high).flatmap(
+        lambda n: st.tuples(*[st.sampled_from(enumerate_partitions(n))] * count)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_same_size(3, 13, 20))
+def test_symmetries_past_brute_force(triple):
+    lam, mu, nu = triple
+    n = sum(lam)
+    g = kronecker(lam, mu, nu)
+    assert {kronecker(*order) for order in permutations(triple)} == {g}
+    assert kronecker(conjugate(lam), conjugate(mu), nu) == g
+    # Tensoring with the trivial and the sign character: a random nu is
+    # almost never lam or lam', so those two cases are checked directly too.
+    for other in (nu, lam, conjugate(lam)):
+        assert kronecker(lam, (n,), other) == (other == lam)
+        assert kronecker(lam, (1,) * n, other) == (other == conjugate(lam))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_same_size(2, 13, 16))
+def test_dimension_identity_past_brute_force(pair):
+    lam, mu = pair
+    assert tensor_decompose(lam, mu).dimension_sum() == hook_dimension(lam) * hook_dimension(mu)

@@ -9,8 +9,6 @@ from snkron.partitions import (
     enumerate_partitions,
     format_partition,
     hook_dimension,
-    is_even,
-    is_odd,
     parse_partition,
     scale,
     schur_dimension,
@@ -83,13 +81,6 @@ def test_enumeration_with_length_bound():
             got = enumerate_partitions(n, bound)
             want = tuple(lam for lam in enumerate_partitions(n) if len(lam) <= bound)
             assert got == want
-
-
-def test_even_odd():
-    assert is_even((4, 2, 2)) and not is_odd((4, 2, 2))
-    assert is_odd((3, 1, 1, 1)) and not is_even((3, 1, 1, 1))
-    assert not is_even((3, 2)) and not is_odd((3, 2))
-    assert is_even(()) and is_odd(())
 
 
 def test_scale():

@@ -2,7 +2,7 @@ from itertools import zip_longest
 
 import pytest
 
-from snkron.closed_forms import theorem1_coefficient, theorem2_coefficient
+from snkron.closed_forms import theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import kronecker
 from snkron.partitions import check_partition, enumerate_partitions
 from snkron.weights import (
@@ -86,7 +86,7 @@ def test_membership_t2_examples():
 
 
 def test_membership_t2_spot_checked_against_oracle():
-    assert theorem2_coefficient((6, 4, 2)) == 1
+    assert membership_t2((6, 4, 2)) is not None
     assert kronecker((6, 6), (3, 3, 3, 3), (6, 4, 2)) == 1
 
 
@@ -105,16 +105,18 @@ def test_reconstruction_is_exact():
 
 def test_membership_t1_equals_closed_form_index_set():
     for n in range(9):
+        entries = theorem1_decomposition(n).entries
         for lam in enumerate_partitions(2 * n):
             member = len(lam) <= 4 and membership_t1(lam) is not None
-            assert member == (theorem1_coefficient(lam) == 1)
+            assert member == (lam in entries)
 
 
 def test_membership_t2_equals_closed_form_index_set():
     for n in range(5):
+        entries = theorem2_decomposition(n).entries
         for lam in enumerate_partitions(4 * n, 3):
             member = membership_t2(lam) is not None
-            assert member == (theorem2_coefficient(lam) == 1)
+            assert member == (lam in entries)
 
 
 def _members(membership, rows, max_size):
