@@ -21,8 +21,8 @@ row of lam is ``_char(beads(lam), n, n)``.
 The unit of work is a row: ``character_row(lam)`` is the character of
 ``lam`` on every class of the symmetric group on |lam| letters.  The
 Kronecker coefficient oracle reads only the rows its query needs, and
-``character_table(n)`` returns a record of all p(n) rows, read from the
-same memo.
+``character_table(n)`` returns all p(n) rows as a ``CharacterTable`` named
+tuple, read from the same memo.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
@@ -36,9 +36,9 @@ results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .partitions import Partition, check_partition, enumerate_partitions
 
@@ -146,12 +146,12 @@ def class_sizes(n: int) -> tuple[int, ...]:
     return sizes
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Complete character table of the symmetric group on ``n`` letters.
 
-    ``rows[lam]`` is ``character_row(lam)``; rows and columns both follow
-    ``partitions``, the ``enumerate_partitions(n)`` order.
+    An immutable named tuple ``(n, partitions, rows)``.  ``rows[lam]`` is
+    ``character_row(lam)``; rows and columns both follow ``partitions``, the
+    ``enumerate_partitions(n)`` order.
     """
 
     n: int

@@ -13,8 +13,8 @@ and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
+from typing import NamedTuple
 
 from .characters import character_row, class_sizes
 from .partitions import (
@@ -31,16 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A finite sum of irreducibles: partition of ``n`` -> multiplicity >= 1.
 
+    An immutable named tuple ``(n, entries)``; both fields are required, and
+    two decompositions are equal when their entries are, in any order.
     Absent keys mean multiplicity zero.  Entries iterate in decreasing
     lexicographic order of partitions, the documented serialization order.
     """
 
     n: int
-    entries: dict[Partition, int] = field(default_factory=dict)
+    entries: dict[Partition, int]
 
     def multiplicity(self, nu: Partition) -> int:
         return self.entries.get(check_partition(nu), 0)

@@ -4,8 +4,8 @@ The two closed-form decompositions come from invariant theory: a product of
 special linear groups and a Borel subgroup acts on a triple tensor product
 with an open orbit, and the boundary divisors carry semi-invariants whose
 weights generate the full weight semigroup.  This module stores those
-weights (a triple of partitions plus the polynomial degree, one record per
-generator) and solves the nonnegative-integer membership problem for the
+weights (a triple of partitions plus the polynomial degree, one named tuple
+per generator) and solves the nonnegative-integer membership problem for the
 third-factor components.  The members are the closed forms' index sets,
 stated independently of the generators in ``closed_forms``; the tests
 compare the two statements.
@@ -16,7 +16,7 @@ unimodular, so the combination is unique whenever it exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import Partition, check_partition
 
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SemiInvariantWeight:
+class SemiInvariantWeight(NamedTuple):
     """Weight of one boundary semi-invariant: a partition per tensor factor.
 
     All three partitions have size equal to the polynomial degree.
@@ -46,8 +45,7 @@ class SemiInvariantWeight:
     degree: int
 
 
-@dataclass(frozen=True)
-class GeneratorCombination:
+class GeneratorCombination(NamedTuple):
     """Nonnegative integer coefficients aligned with a generator list."""
 
     coefficients: tuple[int, ...]

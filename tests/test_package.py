@@ -1,6 +1,13 @@
+import subprocess
 import sys
 
+import pytest
+
 import snkron
+from snkron.characters import CharacterTable, character_table
+from snkron.kronecker import Decomposition
+from snkron.weights import T2_W_GENERATORS, GeneratorCombination, SemiInvariantWeight
+from test_cli import child_env
 
 LAYERS = ("partitions", "characters", "kronecker", "closed_forms", "weights")
 
@@ -15,3 +22,75 @@ def test_package_exports_exactly_the_layers():
     for module in modules:
         for name in module.__all__:
             assert getattr(snkron, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_cli_import_skips_the_introspection_modules():
+    # A fresh interpreter, so nothing the tests imported counts; modules the
+    # site hooks load are in both snapshots and drop out of the difference.
+    script = (
+        "import sys; before = set(sys.modules); import snkron.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    new = set(proc.stdout.split())
+    assert "snkron.cli" in new
+    assert not new & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+# record, its fields in order, one value per field, its methods
+RECORDS = [
+    (
+        CharacterTable,
+        ("n", "partitions", "rows"),
+        (2, ((2,), (1, 1)), {(2,): (1, 1), (1, 1): (-1, 1)}),
+        (),
+    ),
+    (
+        Decomposition,
+        ("n", "entries"),
+        (4, {(4,): 1, (2, 2): 1}),
+        ("multiplicity", "sorted_entries", "restrict_length", "dimension_sum"),
+    ),
+    (
+        SemiInvariantWeight,
+        ("label", "u_weight", "v_weight", "w_weight", "degree"),
+        ("f2", (1, 1), (1, 1), (2,), 2),
+        (),
+    ),
+    (
+        GeneratorCombination,
+        ("coefficients", "generators"),
+        ((1, 0, 1), T2_W_GENERATORS),
+        ("reconstruct",),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, values, methods", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_records_are_immutable_and_built_either_way(record, fields, values, methods):
+    # The methods' results are checked where each record lives.
+    assert record._fields == fields
+    by_position = record(*values)
+    by_keyword = record(**dict(zip(fields, values)))
+    assert by_position == by_keyword
+    assert [getattr(by_keyword, name) for name in fields] == list(values)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, None)
+    assert all(callable(getattr(by_position, name)) for name in methods)
+
+
+def test_records_compare_by_value():
+    first = Decomposition(4, {(4,): 1, (2, 2): 1, (1, 1, 1, 1): 1})
+    second = Decomposition(4, {(1, 1, 1, 1): 1, (2, 2): 1, (4,): 1})
+    assert list(first.entries) != list(second.entries)
+    assert first == second
+    assert first != Decomposition(4, {(4,): 1})
+    assert character_table(2) == CharacterTable(*RECORDS[0][2])
+    with pytest.raises(TypeError):
+        Decomposition(4)
