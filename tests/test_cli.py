@@ -48,6 +48,31 @@ def test_kron_trivial_representations():
     assert run_json("kron", "3", "3", "3")["result"] == 1
 
 
+def test_kron_size_mismatch_exits_2():
+    code, out, err = run_cli("kron", "2,1", "2", "2,1")
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_kron_parse_error_exits_2():
+    code, _, err = run_cli("kron", "2,x", "2", "2")
+    assert code == 2
+    assert "error" in err
+
+
+def test_kron_spaced_partition_exits_2():
+    code, out, err = run_cli("kron", "3, 1", "2,2", "4")
+    assert code == 2
+    assert out == ""
+    assert "error" in err and "Traceback" not in err
+
+
+def test_missing_subcommand_exits_2():
+    code, _, _ = run_cli()
+    assert code == 2
+
+
 def test_tensor_oracle_mode():
     record = run_json("tensor", "2,1", "2,1")
     assert record["entries"] == [
@@ -87,12 +112,15 @@ def test_tensor_closed_mode():
 
 
 def test_tensor_closed_unavailable_exits_3():
-    # CONTRACT holds the exit codes of main(); this checks that `python -m
-    # snkron` hands a non-zero one on to the shell.
     code, out, err = run_cli("tensor", "3,1", "3,1", "--mode", "closed")
     assert code == 3
     assert out == ""
     assert "no closed form" in err
+
+
+def test_tensor_size_mismatch_exits_2():
+    code, _, _ = run_cli("tensor", "2,1", "2,2")
+    assert code == 2
 
 
 def test_verify_theorem1():
@@ -111,6 +139,12 @@ def test_verify_vacuous():
     code, out, _ = run_cli("verify", "--theorem", "1", "--n-max", "0")
     assert code == 0
     assert out == ""
+
+
+def test_verify_cap_exceeded_exits_2():
+    code, _, err = run_cli("verify", "--theorem", "1", "--n-max", "13")
+    assert code == 2
+    assert "cap" in err
 
 
 def test_chartable_tsv():
@@ -137,6 +171,11 @@ def test_chartable_json():
         {"partition": [2], "values": [1, 1]},
         {"partition": [1, 1], "values": [-1, 1]},
     ]
+
+
+def test_chartable_cap_exits_2():
+    code, _, _ = run_cli("chartable", "25")
+    assert code == 2
 
 
 def test_dim_command():
