@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import add, neg, sub
 from typing import NamedTuple
 
 from .partitions import Partition, check_partition, enumerate_partitions
@@ -91,14 +92,13 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
             movable ^= 1 << b
             moved = mask ^ (1 << b) ^ (1 << (b - r))
             moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
-            sub = _char(moved, size - r, r)
+            part = _char(moved, size - r, r)
             odd = ((mask >> (b - r + 1)) & ((1 << (r - 1)) - 1)).bit_count() & 1
+            # Lazy maps: row.extend below sums every strip's part in one pass.
             if segment is None:
-                segment = [-x for x in sub] if odd else sub
-            elif odd:
-                segment = [x - y for x, y in zip(segment, sub)]
+                segment = map(neg, part) if odd else part
             else:
-                segment = [x + y for x, y in zip(segment, sub)]
+                segment = map(sub if odd else add, segment, part)
         if segment is None:
             # No r-strip: zeros, as many as the trivial character's sub-row.
             row.extend([0] * len(_char(1 << (size - r), size - r, r)))

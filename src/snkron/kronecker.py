@@ -2,10 +2,15 @@
 
 This is the ground-truth side of the library: a coefficient is the class
 sum (1/n!) * sum_rho |class(rho)| * chi_lam(rho) * chi_mu(rho) * chi_nu(rho),
-computed as one integer sum divided once by n!.  It reads only the three
-character rows it needs and the class sizes, never a whole table.  Exact
-divisibility of that sum is asserted on every call; a failure would mean the
-character engine is broken, so it raises instead of returning garbage.
+computed as one integer sum divided once by n!.  It reads only the character
+rows it needs and the class sizes, never a whole table.  The weights
+w_rho = |class(rho)| * chi_lam(rho) * chi_mu(rho) depend on lam and mu alone,
+so a decomposition forms them once, keeps the classes where they are
+nonzero, and costs one dot product per candidate nu: the weights against
+the row of nu on those classes.  Exact divisibility of every such sum is
+asserted, in the one kernel that ``kronecker`` and ``tensor_decompose``
+share; a failure would mean the character engine is broken, so it raises
+instead of returning garbage.
 
 The functions here are pure; per-constituent computations are independent
 and deterministic.
@@ -13,8 +18,10 @@ and deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import factorial
-from typing import NamedTuple
+from operator import mul
+from typing import Iterable, NamedTuple
 
 from .characters import character_row, class_sizes
 from .partitions import (
@@ -66,16 +73,15 @@ def _common_size(*parts: Partition) -> int:
     return sizes.pop()
 
 
-def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of the irreducible ``nu`` in the tensor product lam (x) mu."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    n = _common_size(lam, mu, nu)
-    rows = (character_row(lam), character_row(mu), character_row(nu))
-    total = sum(
-        size * a * b * c for size, a, b, c in zip(class_sizes(n), *rows)
-    )
+def _weights(n: int, lam: Partition, mu: Partition) -> list[int]:
+    # |class(rho)| * chi_lam(rho) * chi_mu(rho) on every class of S_n.
+    return list(map(mul, map(mul, class_sizes(n), character_row(lam)), character_row(mu)))
+
+
+def _multiplicity(n: int, weights: list[int], values: Iterable[int]) -> int:
+    # One class sum, the weights against the values of nu on the same
+    # classes, checked to be a nonnegative multiple of n! and divided by it.
+    total = sum(map(mul, weights, values))
     mult, rem = divmod(total, factorial(n))
     if rem or mult < 0:
         raise RuntimeError(
@@ -83,6 +89,15 @@ def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
             f"character data is inconsistent"
         )
     return mult
+
+
+def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """Multiplicity of the irreducible ``nu`` in the tensor product lam (x) mu."""
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    nu = check_partition(nu)
+    n = _common_size(lam, mu, nu)
+    return _multiplicity(n, _weights(n, lam, mu), character_row(nu))
 
 
 def tensor_decompose(
@@ -93,23 +108,27 @@ def tensor_decompose(
     With ``max_length``, only constituents with at most that many parts are
     kept.  A constituent never has more than len(lam) * len(mu) parts
     (Dvir, J. Algebra 1993), so candidates past either bound are skipped
-    before any character work; every other candidate is one ``kronecker``.
+    before any character work.  The weights |class(rho)| * chi_lam(rho) *
+    chi_mu(rho) are formed once, on the classes where they are nonzero;
+    every other candidate then costs its row and one dot product with
+    them, and each such class sum is checked to be a nonnegative multiple
+    of n!.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     n = _common_size(lam, mu)
     if max_length is not None and max_length < 1:
         raise ValueError(f"length bound must be positive, got {max_length}")
-    # Every candidate reads these two rows; reading them first also applies
-    # the cap before the p(n) candidates are enumerated.
-    character_row(lam)
-    character_row(mu)
+    # Reading the weights first also applies the cap before the p(n)
+    # candidates are enumerated.  ``full`` selects the support.
+    full = _weights(n, lam, mu)
+    weights = [w for w in full if w]
     bound = len(lam) * len(mu)
     if max_length is not None:
         bound = min(bound, max_length)
     entries: dict[Partition, int] = {}
     for nu in enumerate_partitions(n, bound):
-        mult = kronecker(lam, mu, nu)
+        mult = _multiplicity(n, weights, compress(character_row(nu), full))
         if mult:
             entries[nu] = mult
     return Decomposition(n, entries)

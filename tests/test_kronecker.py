@@ -1,12 +1,13 @@
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from snkron.characters import DEFAULT_CAP, character_table, class_sizes
+from snkron.characters import DEFAULT_CAP, character_row, character_table, class_sizes
 from snkron.kronecker import Decomposition, kronecker, tensor_decompose
 from snkron.partitions import conjugate, enumerate_partitions, hook_dimension
 
@@ -153,6 +154,25 @@ def test_length_bound_holds_on_full_table_class_sums():
     assert checked
 
 
+def _unpruned_entries(lam, mu, bound):
+    # Triple class sums over every nu |- n, straight from the rows: no
+    # length pruning and no weights shared between candidates.
+    n = sum(lam)
+    entries = {}
+    for nu in enumerate_partitions(n):
+        total = sum(
+            size * a * b * c
+            for size, a, b, c in zip(
+                class_sizes(n), character_row(lam), character_row(mu), character_row(nu)
+            )
+        )
+        mult, rem = divmod(total, factorial(n))
+        assert not rem and mult >= 0, (lam, mu, nu)
+        if mult and (bound is None or len(nu) <= bound):
+            entries[nu] = mult
+    return entries
+
+
 def _decomposition_cases():
     cases = [(lam, mu, None) for lam in enumerate_partitions(6) for mu in enumerate_partitions(6)]
     cases += [((n, n), (n, n), None) for n in range(1, 7)]
@@ -169,15 +189,25 @@ def test_decompositions_same_cold_and_after_table(cold_memo):
         character_table(n)
     warm = [tensor_decompose(lam, mu, bound) for lam, mu, bound in cases]
     assert cold == warm
-    # Unpruned class sums over every candidate, straight from the tables.
     for (lam, mu, bound), dec in zip(cases, warm):
-        table = character_table(sum(lam))
-        full = {}
-        for nu in table.partitions:
-            mult = _class_sum(table, lam, mu, nu) // factorial(table.n)
-            if mult and (bound is None or len(nu) <= bound):
-                full[nu] = mult
-        assert dec.entries == full, (lam, mu, bound)
+        assert dec.entries == _unpruned_entries(lam, mu, bound), (lam, mu, bound)
+
+
+def test_class_sum_guard_fires_on_a_wrong_row(monkeypatch):
+    # Plant one wrong value on the identity class, which every support holds.
+    # (2,1) weighs the classes (3), (2,1), (1,1,1) by (2, 0, 4): against the
+    # planted rows the sums are 2 + 4*2 = 10, no multiple of 3!, and
+    # 2 - 4*2 = -6, a negative multiple.  The submodule is reached through
+    # sys.modules because the function of the same name shadows it.
+    module = sys.modules["snkron.kronecker"]
+    planted = {(3,): (1, 1, 2), (1, 1, 1): (1, -1, -2)}
+    true_row = module.character_row
+    monkeypatch.setattr(module, "character_row", lambda lam: planted.get(lam) or true_row(lam))
+    for nu in planted:
+        with pytest.raises(RuntimeError, match="not a nonnegative multiple"):
+            kronecker((2, 1), (2, 1), nu)
+    with pytest.raises(RuntimeError, match="not a nonnegative multiple"):
+        tensor_decompose((2, 1), (2, 1))
 
 
 def test_concurrent_kronecker_on_cold_memo(cold_memo):
@@ -232,3 +262,17 @@ def test_symmetries_past_brute_force(triple):
 def test_dimension_identity_past_brute_force(pair):
     lam, mu = pair
     assert tensor_decompose(lam, mu).dimension_sum() == hook_dimension(lam) * hook_dimension(mu)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_same_size(2, 13, 18), st.sampled_from((None, 3)))
+# Pairs whose weights vanish on many classes: 37 and 26 of the 77 of S_12,
+# 220 of the 231 of S_16 and 360 of the 385 of S_18.
+@example(((4, 4, 4), (6, 6)), None)
+@example(((4, 4, 4), (6, 6)), 3)
+@example(((6, 6), (1,) * 12), None)
+@example(((7, 5, 3, 1), (7, 3, 2, 1, 1, 1, 1)), None)
+@example(((8, 3, 2, 2, 2, 1), (7, 4, 2, 2, 1, 1, 1)), 3)
+def test_decompositions_equal_unpruned_class_sums_past_brute_force(pair, bound):
+    lam, mu = pair
+    assert tensor_decompose(lam, mu, bound).entries == _unpruned_entries(lam, mu, bound)
