@@ -27,11 +27,11 @@ tuple, read from the same memo.
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
-Concurrency: every function here is pure; the two memos behind them (the
-``_char`` lru_cache of row segments and the ``_class_sizes`` dict) only ever
-insert values, and their insertions are atomic, so concurrent callers are
-safe and, at worst, duplicate some work while always observing identical
-results.
+Concurrency: every function here is pure; the two memos behind them, the
+``lru_cache`` of row segments on ``_char`` and the ``lru_cache`` on
+``class_sizes``, only ever insert values, and their insertions are atomic,
+so concurrent callers are safe and, at worst, duplicate some work while
+always observing identical results.
 """
 
 from __future__ import annotations
@@ -43,12 +43,9 @@ from typing import NamedTuple
 
 from .partitions import Partition, check_partition, enumerate_partitions
 
-CycleType = Partition
-
 DEFAULT_CAP = 24
 
 __all__ = [
-    "CycleType",
     "CharacterTable",
     "DEFAULT_CAP",
     "character_row",
@@ -57,7 +54,7 @@ __all__ = [
 ]
 
 
-def _centralizer(rho: CycleType) -> int:
+def _centralizer(rho: Partition) -> int:
     z = 1
     mult = 0
     for i, part in enumerate(rho):
@@ -115,9 +112,6 @@ def _check_size(n: int) -> None:
         raise ValueError(f"characters of S_{n} exceed the cap n <= {DEFAULT_CAP}")
 
 
-_class_sizes: dict[int, tuple[int, ...]] = {}
-
-
 def character_row(lam: Partition) -> tuple[int, ...]:
     """Values of the irreducible ``lam`` on every class, memoized per partition.
 
@@ -130,20 +124,15 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     return _char(_beads(lam), n, n)
 
 
+@lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
     """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order.
 
     Raises ValueError when ``n`` is negative or exceeds ``DEFAULT_CAP``.
     """
     _check_size(n)
-    classes = enumerate_partitions(n)
-    sizes = _class_sizes.get(n)
-    if sizes is None:
-        order = factorial(n)
-        sizes = _class_sizes.setdefault(
-            n, tuple(order // _centralizer(rho) for rho in classes)
-        )
-    return sizes
+    order = factorial(n)
+    return tuple(order // _centralizer(rho) for rho in enumerate_partitions(n))
 
 
 class CharacterTable(NamedTuple):

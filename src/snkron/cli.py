@@ -3,7 +3,8 @@
 Each command prints one JSON record to stdout with keys "command",
 "inputs", the result payload ("result", or "entries" for decompositions),
 and "time_ms" unless --no-timing is given; the verify command instead
-prints one plain pass/fail line per case.  Identical invocations produce
+prints one plain pass/fail line per case.  A command returns its exit code
+and its payload, and ``main`` alone writes the record around it.  Identical invocations produce
 byte-identical output once timing is suppressed.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, input or output
@@ -30,10 +31,11 @@ __all__ = ["main"]
 
 
 def _entries_payload(dec: Decomposition) -> list[dict]:
-    return [{"partition": list(nu), "mult": m} for nu, m in dec.sorted_entries()]
+    return [{"partition": list(nu), "mult": m} for nu, m in dec.entries.items()]
 
 
-def _emit(args: argparse.Namespace, record: dict, started: float) -> None:
+def _emit(args: argparse.Namespace, payload: dict, started: float) -> None:
+    record = {"command": args.command, **payload}
     if not args.no_timing:
         record["time_ms"] = int((time.monotonic() - started) * 1000)
     # Exact results such as f^(8000,8000) pass the interpreter's int-to-str
@@ -69,26 +71,21 @@ def _decomposition_diff(oracle: Decomposition, closed: Decomposition) -> dict:
     }
 
 
-def cmd_kron(args: argparse.Namespace, started: float) -> int:
+def cmd_kron(args: argparse.Namespace) -> tuple[int, dict | None]:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     nu = parse_partition(args.nu)
-    value = kronecker(lam, mu, nu)
-    record = {
-        "command": "kron",
+    return 0, {
         "inputs": {"partitions": [list(lam), list(mu), list(nu)]},
-        "result": value,
+        "result": kronecker(lam, mu, nu),
     }
-    _emit(args, record, started)
-    return 0
 
 
-def cmd_tensor(args: argparse.Namespace, started: float) -> int:
+def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
     lam = parse_partition(args.left)
     mu = parse_partition(args.right)
     bound = args.max_length
-    record = {
-        "command": "tensor",
+    payload = {
         "inputs": {
             "left": list(lam),
             "right": list(mu),
@@ -105,25 +102,22 @@ def cmd_tensor(args: argparse.Namespace, started: float) -> int:
                 f"{format_partition(mu)} with this length bound",
                 file=sys.stderr,
             )
-            return 3
+            return 3, None
     if args.mode == "closed":
-        record["entries"] = _entries_payload(closed)
-        _emit(args, record, started)
-        return 0
+        payload["entries"] = _entries_payload(closed)
+        return 0, payload
     oracle = tensor_decompose(lam, mu, bound)
-    record["entries"] = _entries_payload(oracle)
+    payload["entries"] = _entries_payload(oracle)
     if args.mode == "both":
         agree = oracle == closed
-        record["modes_agree"] = agree
+        payload["modes_agree"] = agree
         if not agree:
-            record["diff"] = _decomposition_diff(oracle, closed)
-            _emit(args, record, started)
-            return 1
-    _emit(args, record, started)
-    return 0
+            payload["diff"] = _decomposition_diff(oracle, closed)
+            return 1, payload
+    return 0, payload
 
 
-def cmd_verify(args: argparse.Namespace, started: float) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict | None]:
     if args.n_max < 0:
         raise ValueError(f"n-max must be nonnegative, got {args.n_max}")
 
@@ -141,18 +135,17 @@ def cmd_verify(args: argparse.Namespace, started: float) -> int:
         ok = closed_form(lam, mu, bound) == tensor_decompose(lam, mu, bound)
         print(f"theorem={args.theorem} n={n} {'pass' if ok else 'FAIL'}")
         all_ok = all_ok and ok
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), None
 
 
-def cmd_chartable(args: argparse.Namespace, started: float) -> int:
+def cmd_chartable(args: argparse.Namespace) -> tuple[int, dict | None]:
     table = character_table(args.n)
     if args.format == "tsv":
         for lam in table.partitions:
             for rho, value in zip(table.partitions, table.rows[lam]):
                 print(f"{format_partition(lam)}\t{format_partition(rho)}\t{value}")
-        return 0
-    record = {
-        "command": "chartable",
+        return 0, None
+    return 0, {
         "inputs": {"n": args.n, "format": args.format},
         "result": {
             "classes": [list(rho) for rho in table.partitions],
@@ -163,26 +156,18 @@ def cmd_chartable(args: argparse.Namespace, started: float) -> int:
             ],
         },
     }
-    _emit(args, record, started)
-    return 0
 
 
-def cmd_dim(args: argparse.Namespace, started: float) -> int:
+def cmd_dim(args: argparse.Namespace) -> tuple[int, dict | None]:
     lam = parse_partition(args.partition)
     if args.gl is not None:
         result = schur_dimension(lam, args.gl)
     else:
         result = hook_dimension(lam)
-    record = {
-        "command": "dim",
-        "inputs": {"partition": list(lam), "gl": args.gl},
-        "result": result,
-    }
-    _emit(args, record, started)
-    return 0
+    return 0, {"inputs": {"partition": list(lam), "gl": args.gl}, "result": result}
 
 
-def cmd_semigroup(args: argparse.Namespace, started: float) -> int:
+def cmd_semigroup(args: argparse.Namespace) -> tuple[int, dict | None]:
     lam = parse_partition(args.partition)
     if args.which == "t1":
         combo = membership_t1(lam)
@@ -190,8 +175,7 @@ def cmd_semigroup(args: argparse.Namespace, started: float) -> int:
     else:
         combo = membership_t2(lam)
         generators = T2_W_GENERATORS
-    record = {
-        "command": "semigroup",
+    return 0, {
         "inputs": {"which": args.which, "partition": list(lam)},
         "result": {
             "member": combo is not None,
@@ -199,8 +183,6 @@ def cmd_semigroup(args: argparse.Namespace, started: float) -> int:
             "generators": [list(g) for g in generators],
         },
     }
-    _emit(args, record, started)
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,7 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code = args.func(args, started)
+        code, payload = args.func(args)
+        if payload is not None:
+            _emit(args, payload, started)
         sys.stdout.flush()
         return code
     except ValueError as exc:

@@ -21,7 +21,7 @@ character-theoretic oracle.
 
 from __future__ import annotations
 
-from .kronecker import Decomposition, _common_size
+from .kronecker import Decomposition, _pair
 from .partitions import Partition, check_partition, enumerate_partitions, scale
 
 __all__ = [
@@ -42,11 +42,7 @@ def closed_form(
     ``max_length`` parts are dropped.  Raises ValueError on unequal sizes or
     a bound below 1, as ``tensor_decompose`` does.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = _common_size(lam, mu)
-    if max_length is not None and max_length < 1:
-        raise ValueError(f"length bound must be positive, got {max_length}")
+    lam, mu, n = _pair(lam, mu, max_length)
     # Each rectangle has size n only when its width divides n evenly.
     two = check_partition((n // 2,) * 2)
     four = check_partition((n // 4,) * 4)

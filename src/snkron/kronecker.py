@@ -12,6 +12,9 @@ asserted, in the one kernel that ``kronecker`` and ``tensor_decompose``
 share; a failure would mean the character engine is broken, so it raises
 instead of returning garbage.
 
+``tensor_decompose`` and ``closed_forms.closed_form`` share one input
+check, ``_pair``, so both reject the same inputs with the same errors.
+
 The functions here are pure; per-constituent computations are independent
 and deterministic.
 """
@@ -43,18 +46,12 @@ class Decomposition(NamedTuple):
 
     An immutable named tuple ``(n, entries)``; both fields are required, and
     two decompositions are equal when their entries are, in any order.
-    Absent keys mean multiplicity zero.  Entries iterate in decreasing
-    lexicographic order of partitions, the documented serialization order.
+    Absent keys mean multiplicity zero.  Entries of every decomposition the
+    library returns iterate in decreasing lexicographic order of partitions.
     """
 
     n: int
     entries: dict[Partition, int]
-
-    def multiplicity(self, nu: Partition) -> int:
-        return self.entries.get(check_partition(nu), 0)
-
-    def sorted_entries(self) -> list[tuple[Partition, int]]:
-        return sorted(self.entries.items(), reverse=True)
 
     def restrict_length(self, max_length: int) -> "Decomposition":
         """Sub-sum over constituents with at most ``max_length`` parts."""
@@ -71,6 +68,17 @@ def _common_size(*parts: Partition) -> int:
     if len(sizes) != 1:
         raise ValueError(f"partitions of unequal sizes: {sorted(sizes)}")
     return sizes.pop()
+
+
+def _pair(
+    lam: Partition, mu: Partition, max_length: int | None
+) -> tuple[Partition, Partition, int]:
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = _common_size(lam, mu)
+    if max_length is not None and max_length < 1:
+        raise ValueError(f"length bound must be positive, got {max_length}")
+    return lam, mu, n
 
 
 def _weights(n: int, lam: Partition, mu: Partition) -> list[int]:
@@ -114,11 +122,7 @@ def tensor_decompose(
     them, and each such class sum is checked to be a nonnegative multiple
     of n!.
     """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = _common_size(lam, mu)
-    if max_length is not None and max_length < 1:
-        raise ValueError(f"length bound must be positive, got {max_length}")
+    lam, mu, n = _pair(lam, mu, max_length)
     # Reading the weights first also applies the cap before the p(n)
     # candidates are enumerated.  ``full`` selects the support.
     full = _weights(n, lam, mu)

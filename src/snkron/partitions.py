@@ -77,6 +77,7 @@ def conjugate(lam: Iterable[int]) -> Partition:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
+# Memoized: theorem 1 at width n needs (n - 2, 4), enumerated already at width n - 2.
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partition, ...]:
     """All partitions of ``n`` in decreasing lexicographic order.

@@ -299,7 +299,13 @@ def test_cli_contract_table(capsys):
             assert "Traceback" not in err, argv
             assert "error" in err and want_err in err, (argv, err)
         elif shape == "json":
-            json.loads(out)
+            # One record per command, and main alone writes its frame.
+            record = json.loads(out)
+            keys = list(record)
+            command = next(arg for arg in argv if not arg.startswith("-"))
+            assert keys[0] == "command" and record["command"] == command, argv
+            timed = "--no-timing" not in argv
+            assert (keys[-1] == "time_ms") == ("time_ms" in record) == timed, argv
         else:
             assert out and all(line for line in out.splitlines()), argv
 

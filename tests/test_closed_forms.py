@@ -39,9 +39,22 @@ def test_theorem1_matches_filter_definition():
 
 
 def test_decomposition_entries_iterate_in_decreasing_order():
-    for n in range(41):
-        for dec in (theorem1_decomposition(n), theorem2_decomposition(n)):
-            assert list(dec.entries) == sorted(dec.entries, reverse=True)
+    # The CLI writes entries in the order they iterate, unsorted.
+    decs = [theorem1_decomposition(n) for n in range(41)]
+    decs += [theorem2_decomposition(n) for n in range(41)]
+    for bound in (None, 3, 4):
+        for m in range(21):
+            decs.append(closed_form((m, m), (m, m), bound))
+        for m in range(11):
+            for pair in (((2 * m, 2 * m), (m,) * 4), ((m,) * 4, (2 * m, 2 * m))):
+                decs.append(closed_form(*pair, bound))
+    for n in range(8):
+        parts = enumerate_partitions(n)
+        for bound in (None, 1, 2, 3):
+            decs += [tensor_decompose(lam, mu, bound) for lam in parts for mu in parts]
+    for dec in decs:
+        if dec is not None:
+            assert list(dec.entries) == sorted(dec.entries, reverse=True), dec
 
 
 def test_theorem2_decomposition_small_cases():

@@ -122,9 +122,6 @@ def test_trivial_and_sign_output_components():
 
 def test_decomposition_helpers():
     dec = Decomposition(4, {(2, 2): 1, (4,): 1, (1, 1, 1, 1): 1})
-    assert dec.sorted_entries() == [((4,), 1), ((2, 2), 1), ((1, 1, 1, 1), 1)]
-    assert dec.multiplicity((4,)) == 1
-    assert dec.multiplicity((3, 1)) == 0
     assert dec.restrict_length(2).entries == {(4,): 1, (2, 2): 1}
     assert dec.dimension_sum() == 1 + 2 + 1
 

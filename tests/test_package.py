@@ -52,7 +52,7 @@ RECORDS = [
         Decomposition,
         ("n", "entries"),
         (4, {(4,): 1, (2, 2): 1}),
-        ("multiplicity", "sorted_entries", "restrict_length", "dimension_sum"),
+        ("restrict_length", "dimension_sum"),
     ),
     (
         SemiInvariantWeight,
