@@ -4,8 +4,8 @@ Each command prints one JSON record to stdout with keys "command",
 "inputs", the result payload ("result", or "entries" for decompositions),
 and "time_ms" unless --no-timing is given; the verify command instead
 prints one plain pass/fail line per case.  A command returns its exit code
-and its payload, and ``main`` alone writes the record around it.  Identical invocations produce
-byte-identical output once timing is suppressed.
+and its payload, and ``main`` alone writes the record around it.  Identical
+invocations produce byte-identical output once timing is suppressed.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, input or output
 error (including a reader that closes stdout early), 3 closed form
@@ -23,8 +23,10 @@ from math import factorial
 
 from .characters import character_table, class_sizes
 from .closed_forms import closed_form
-from .kronecker import Decomposition, kronecker, tensor_decompose
-from .partitions import format_partition, hook_dimension, parse_partition, schur_dimension
+from .kronecker import kronecker, tensor_decompose
+from .partitions import (
+    Decomposition, format_partition, hook_dimension, parse_partition, schur_dimension,
+)
 from .weights import T1_W_GENERATORS, T2_W_GENERATORS, membership_t1, membership_t2
 
 __all__ = ["main"]
@@ -54,21 +56,18 @@ def _emit(args: argparse.Namespace, payload: dict, started: float) -> None:
 
 def _decomposition_diff(oracle: Decomposition, closed: Decomposition) -> dict:
     """Machine-readable difference between the two decompositions."""
-    oracle_only = sorted(set(oracle.entries) - set(closed.entries), reverse=True)
-    closed_only = sorted(set(closed.entries) - set(oracle.entries), reverse=True)
-    mismatched = sorted(
-        (nu for nu in set(oracle.entries) & set(closed.entries)
-         if oracle.entries[nu] != closed.entries[nu]),
-        reverse=True,
-    )
-    return {
-        "oracle_only": [{"partition": list(nu), "mult": oracle.entries[nu]} for nu in oracle_only],
-        "closed_only": [{"partition": list(nu), "mult": closed.entries[nu]} for nu in closed_only],
-        "multiplicity_mismatch": [
-            {"partition": list(nu), "oracle": oracle.entries[nu], "closed": closed.entries[nu]}
-            for nu in mismatched
-        ],
-    }
+    diff = {"oracle_only": [], "closed_only": [], "multiplicity_mismatch": []}
+    for nu in sorted(oracle.entries.keys() | closed.entries.keys(), reverse=True):
+        in_oracle, in_closed = oracle.entries.get(nu), closed.entries.get(nu)
+        if in_closed is None:
+            diff["oracle_only"].append({"partition": list(nu), "mult": in_oracle})
+        elif in_oracle is None:
+            diff["closed_only"].append({"partition": list(nu), "mult": in_closed})
+        elif in_oracle != in_closed:
+            diff["multiplicity_mismatch"].append(
+                {"partition": list(nu), "oracle": in_oracle, "closed": in_closed}
+            )
+    return diff
 
 
 def cmd_kron(args: argparse.Namespace) -> tuple[int, dict | None]:
@@ -97,9 +96,10 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
     if args.mode in ("closed", "both"):
         closed = closed_form(lam, mu, bound)
         if closed is None:
+            given = "no length bound" if bound is None else f"--max-length {bound}"
             print(
                 f"error: no closed form covers {format_partition(lam)} (x) "
-                f"{format_partition(mu)} with this length bound",
+                f"{format_partition(mu)} with {given}",
                 file=sys.stderr,
             )
             return 3, None

@@ -16,13 +16,15 @@ index-set descriptions.  Both index sets are generated from partitions of n
 pairs of shapes, under which length bound, a theorem covers.  The weight
 semigroup of the ``weights`` module states both index sets independently;
 the test suite checks the generators against it and against the
-character-theoretic oracle.
+character-theoretic oracle.  This route imports only ``partitions``, so it
+loads and runs with no character code at all.
 """
 
 from __future__ import annotations
 
-from .kronecker import Decomposition, _pair
-from .partitions import Partition, check_partition, enumerate_partitions, scale
+from .partitions import (
+    Decomposition, Partition, _pair, check_partition, enumerate_partitions, scale,
+)
 
 __all__ = [
     "closed_form",

@@ -12,9 +12,6 @@ asserted, in the one kernel that ``kronecker`` and ``tensor_decompose``
 share; a failure would mean the character engine is broken, so it raises
 instead of returning garbage.
 
-``tensor_decompose`` and ``closed_forms.closed_form`` share one input
-check, ``_pair``, so both reject the same inputs with the same errors.
-
 The functions here are pure; per-constituent computations are independent
 and deterministic.
 """
@@ -24,61 +21,17 @@ from __future__ import annotations
 from itertools import compress
 from math import factorial
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .characters import character_row, class_sizes
 from .partitions import (
-    Partition,
-    check_partition,
-    enumerate_partitions,
-    hook_dimension,
+    Decomposition, Partition, _common_size, _pair, check_partition, enumerate_partitions,
 )
 
 __all__ = [
-    "Decomposition",
     "kronecker",
     "tensor_decompose",
 ]
-
-
-class Decomposition(NamedTuple):
-    """A finite sum of irreducibles: partition of ``n`` -> multiplicity >= 1.
-
-    An immutable named tuple ``(n, entries)``; both fields are required, and
-    two decompositions are equal when their entries are, in any order.
-    Absent keys mean multiplicity zero.  Entries of every decomposition the
-    library returns iterate in decreasing lexicographic order of partitions.
-    """
-
-    n: int
-    entries: dict[Partition, int]
-
-    def restrict_length(self, max_length: int) -> "Decomposition":
-        """Sub-sum over constituents with at most ``max_length`` parts."""
-        kept = {nu: m for nu, m in self.entries.items() if len(nu) <= max_length}
-        return Decomposition(self.n, kept)
-
-    def dimension_sum(self) -> int:
-        """Total dimension: sum of multiplicity * irreducible dimension."""
-        return sum(m * hook_dimension(nu) for nu, m in self.entries.items())
-
-
-def _common_size(*parts: Partition) -> int:
-    sizes = {sum(p) for p in parts}
-    if len(sizes) != 1:
-        raise ValueError(f"partitions of unequal sizes: {sorted(sizes)}")
-    return sizes.pop()
-
-
-def _pair(
-    lam: Partition, mu: Partition, max_length: int | None
-) -> tuple[Partition, Partition, int]:
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = _common_size(lam, mu)
-    if max_length is not None and max_length < 1:
-        raise ValueError(f"length bound must be positive, got {max_length}")
-    return lam, mu, n
 
 
 def _weights(n: int, lam: Partition, mu: Partition) -> list[int]:

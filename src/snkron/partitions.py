@@ -1,17 +1,21 @@
-"""Integer partition arithmetic, enumeration, and dimension formulas.
+"""Partition arithmetic, enumeration, dimension formulas, and decompositions.
 
 A partition is represented as a plain tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0.  Partitions are
 stored without trailing zeros so that tuple equality is canonical equality.
 All arithmetic is exact (Python integers, no floating point anywhere), and
 every function in this module is pure, so concurrent use needs no locking.
+
+The ``Decomposition`` record and ``_pair``, the input check shared by
+``kronecker.tensor_decompose`` and ``closed_forms.closed_form``, live here,
+so each route reads them without loading the other.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial, perm, prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
 
@@ -25,6 +29,7 @@ __all__ = [
     "scale",
     "hook_dimension",
     "schur_dimension",
+    "Decomposition",
 ]
 
 
@@ -154,3 +159,43 @@ def schur_dimension(lam: Iterable[int], d: int) -> int:
         return 0
     num = prod(d + j - i for i, row in enumerate(lam) for j in range(row))
     return num // _hook_product(lam)
+
+
+class Decomposition(NamedTuple):
+    """A finite sum of irreducibles: partition of ``n`` -> multiplicity >= 1.
+
+    An immutable named tuple ``(n, entries)``; both fields are required, and
+    two decompositions are equal when their entries are, in any order.
+    Absent keys mean multiplicity zero.  Entries of every decomposition the
+    library returns iterate in decreasing lexicographic order of partitions.
+    """
+
+    n: int
+    entries: dict[Partition, int]
+
+    def restrict_length(self, max_length: int) -> "Decomposition":
+        """Sub-sum over constituents with at most ``max_length`` parts."""
+        kept = {nu: m for nu, m in self.entries.items() if len(nu) <= max_length}
+        return Decomposition(self.n, kept)
+
+    def dimension_sum(self) -> int:
+        """Total dimension: sum of multiplicity * irreducible dimension."""
+        return sum(m * hook_dimension(nu) for nu, m in self.entries.items())
+
+
+def _common_size(*parts: Partition) -> int:
+    sizes = {sum(p) for p in parts}
+    if len(sizes) != 1:
+        raise ValueError(f"partitions of unequal sizes: {sorted(sizes)}")
+    return sizes.pop()
+
+
+def _pair(
+    lam: Partition, mu: Partition, max_length: int | None
+) -> tuple[Partition, Partition, int]:
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    n = _common_size(lam, mu)
+    if max_length is not None and max_length < 1:
+        raise ValueError(f"length bound must be positive, got {max_length}")
+    return lam, mu, n

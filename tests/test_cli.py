@@ -243,6 +243,29 @@ def test_decomposition_diff_reporting():
     assert diff["multiplicity_mismatch"] == [
         {"partition": [2, 2], "oracle": 2, "closed": 1}
     ]
+    # Two or more entries per list, each list in decreasing order.
+    oracle = Decomposition(
+        6, {(6,): 1, (5, 1): 2, (4, 2): 1, (3, 3): 3, (2, 2, 2): 1, (1,) * 6: 1}
+    )
+    closed = Decomposition(
+        6, {(6,): 2, (5, 1): 1, (4, 1, 1): 1, (3, 3): 3, (3, 2, 1): 2, (2, 1, 1, 1, 1): 1}
+    )
+    diff = _decomposition_diff(oracle, closed)
+    assert list(diff) == ["oracle_only", "closed_only", "multiplicity_mismatch"]
+    assert diff["oracle_only"] == [
+        {"partition": [4, 2], "mult": 1},
+        {"partition": [2, 2, 2], "mult": 1},
+        {"partition": [1, 1, 1, 1, 1, 1], "mult": 1},
+    ]
+    assert diff["closed_only"] == [
+        {"partition": [4, 1, 1], "mult": 1},
+        {"partition": [3, 2, 1], "mult": 2},
+        {"partition": [2, 1, 1, 1, 1], "mult": 1},
+    ]
+    assert diff["multiplicity_mismatch"] == [
+        {"partition": [6], "oracle": 1, "closed": 2},
+        {"partition": [5, 1], "oracle": 2, "closed": 1},
+    ]
 
 
 # argv -> expected exit code, for exit 0 what stdout holds (one JSON record,
@@ -257,11 +280,13 @@ CONTRACT = [
     (["tensor", "2,1", "2,1"], 0, "json", None),
     (["tensor", "2,2", "2,2", "--mode", "both"], 0, "json", None),
     (["tensor", "2,2,2,2", "4,4", "--max-length", "3", "--mode", "closed"], 0, "json", None),
-    (["tensor", "3,1", "3,1", "--mode", "closed"], 3, None, "no closed form"),
+    (["tensor", "3,1", "3,1", "--mode", "closed"], 3, None,
+     "error: no closed form covers 3,1 (x) 3,1 with no length bound\n"),
     (["tensor", "4,4", "2,2,2,2", "--mode", "both"], 3, None, "no closed form"),
     # The four-row rectangle pairing needs the length bound to be covered.
     (["tensor", "4,4", "2,2,2,2", "--mode", "closed"], 3, None, "no closed form"),
-    (["tensor", "4,4", "2,2,2,2", "--max-length", "4", "--mode", "closed"], 3, None, "no closed form"),
+    (["tensor", "4,4", "2,2,2,2", "--max-length", "4", "--mode", "closed"], 3, None,
+     "error: no closed form covers 4,4 (x) 2,2,2,2 with --max-length 4\n"),
     (["tensor", "2,2", "2,2", "--max-length", "0"], 2, None, "length bound"),
     (["tensor", "2,2", "2,2", "--max-length", "0", "--mode", "both"], 2, None, "length bound"),
     (["tensor", "2,1", "2,2"], 2, None, "unequal sizes"),

@@ -1,11 +1,13 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import snkron
 from snkron.characters import CharacterTable, character_table
-from snkron.kronecker import Decomposition
+from snkron.partitions import Decomposition
 from snkron.weights import T2_W_GENERATORS, GeneratorCombination, SemiInvariantWeight
 from test_cli import child_env
 
@@ -22,6 +24,46 @@ def test_package_exports_exactly_the_layers():
     for module in modules:
         for name in module.__all__:
             assert getattr(snkron, name) is getattr(module, name), (module.__name__, name)
+
+
+# module -> the snkron modules it imports.  The routes share only partitions,
+# so the closed forms and the weights load and run with no character code.
+IMPORTS = {
+    "partitions": set(),
+    "characters": {"partitions"},
+    "kronecker": {"characters", "partitions"},
+    "closed_forms": {"partitions"},
+    "weights": {"partitions"},
+    "cli": set(LAYERS),
+    "__init__": set(LAYERS),
+    "__main__": {"cli"},
+}
+
+
+def snkron_imports(tree):
+    """The snkron modules a parsed module of the (flat) package imports."""
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["snkron" if node.level else "", node.module]))
+            if module == "snkron":  # from . import <submodule>
+                dotted += [f"snkron.{alias.name}" for alias in node.names]
+            else:
+                dotted.append(module)
+    return {name.split(".")[1] for name in dotted if name.startswith("snkron.")}
+
+
+def test_routes_import_only_what_the_layering_allows():
+    # By path, not by import: the function snkron.kronecker shadows its
+    # submodule, so ``import snkron.kronecker as m`` would bind the function.
+    package = Path(snkron.__file__).parent
+    graph = {
+        path.stem: snkron_imports(ast.parse(path.read_text(), str(path)))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert graph == IMPORTS
 
 
 def test_cli_import_skips_the_introspection_modules():

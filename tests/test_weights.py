@@ -39,6 +39,14 @@ def test_theorem2_weight_data():
     assert weights[0].w_weight == (4, 4, 4)
 
 
+def test_generators_restate_the_stored_weights():
+    # Theorem 1's solver order is the order of the weights; theorem 2's is
+    # its own, so only the set is shared.
+    assert T1_W_GENERATORS == tuple(w.w_weight for w in theorem1_weights())
+    assert len(T2_W_GENERATORS) == len(set(T2_W_GENERATORS))
+    assert set(T2_W_GENERATORS) == {w.w_weight for w in theorem2_weights()}
+
+
 def test_degree_consistency():
     for w in theorem1_weights() + theorem2_weights():
         assert sum(w.u_weight) == sum(w.v_weight) == sum(w.w_weight) == w.degree
