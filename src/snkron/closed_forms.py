@@ -23,7 +23,7 @@ loads and runs with no character code at all.
 from __future__ import annotations
 
 from .partitions import (
-    Decomposition, Partition, _pair, check_partition, enumerate_partitions, scale,
+    Decomposition, Partition, _pair, check_partition, enumerate_partitions,
 )
 
 __all__ = [
@@ -67,7 +67,7 @@ def theorem1_decomposition(n: int) -> Decomposition:
     """
     if n < 0:
         raise ValueError(f"rectangle width must be nonnegative, got {n}")
-    even = [scale(mu, 2) for mu in enumerate_partitions(n, 4)]
+    even = [tuple(2 * part for part in mu) for mu in enumerate_partitions(n, 4)]
     odd = [
         tuple(2 * part + 1 for part in (mu + (0, 0, 0, 0))[:4])
         for mu in (enumerate_partitions(n - 2, 4) if n >= 2 else ())
@@ -90,5 +90,5 @@ def theorem2_decomposition(n: int) -> Decomposition:
         l1, l2, l3 = (lam + (0, 0, 0))[:3]
         combo = l2 + l3 - l1
         if combo >= 0 and combo % 2 == 0:
-            entries[scale(lam, 2)] = 1
+            entries[tuple(2 * part for part in lam)] = 1
     return Decomposition(4 * n, entries)

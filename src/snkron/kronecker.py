@@ -25,7 +25,8 @@ from typing import Iterable
 
 from .characters import character_row, class_sizes
 from .partitions import (
-    Decomposition, Partition, _common_size, _pair, check_partition, enumerate_partitions,
+    Decomposition, Partition, _common_size, _pair, check_partition, conjugate,
+    enumerate_partitions,
 )
 
 __all__ = [
@@ -67,24 +68,28 @@ def tensor_decompose(
     """Decomposition of lam (x) mu into irreducibles with multiplicities.
 
     With ``max_length``, only constituents with at most that many parts are
-    kept.  A constituent never has more than len(lam) * len(mu) parts
-    (Dvir, J. Algebra 1993), so candidates past either bound are skipped
-    before any character work.  The weights |class(rho)| * chi_lam(rho) *
-    chi_mu(rho) are formed once, on the classes where they are nonzero;
-    every other candidate then costs its row and one dot product with
-    them, and each such class sum is checked to be a nonnegative multiple
-    of n!.
+    kept.  A constituent nu has at most |lam & mu'| parts and a first part
+    of at most |lam & mu|, where |a & b| = sum_i min(a_i, b_i) and mu' is
+    the conjugate (Dvir, J. Algebra 1993; both bounds are attained), so
+    candidates past any bound are skipped before any character work.  The
+    weights |class(rho)| * chi_lam(rho) * chi_mu(rho) are formed once, on
+    the classes where they are nonzero; every other candidate then costs
+    its row and one dot product with them, and each such class sum is
+    checked to be a nonnegative multiple of n!.
     """
     lam, mu, n = _pair(lam, mu, max_length)
     # Reading the weights first also applies the cap before the p(n)
     # candidates are enumerated.  ``full`` selects the support.
     full = _weights(n, lam, mu)
     weights = [w for w in full if w]
-    bound = len(lam) * len(mu)
+    bound = sum(map(min, lam, conjugate(mu)))
     if max_length is not None:
         bound = min(bound, max_length)
+    width = sum(map(min, lam, mu))
     entries: dict[Partition, int] = {}
     for nu in enumerate_partitions(n, bound):
+        if nu and nu[0] > width:
+            continue
         mult = _multiplicity(n, weights, compress(character_row(nu), full))
         if mult:
             entries[nu] = mult

@@ -40,16 +40,18 @@ def check_partition(parts: Iterable[int]) -> Partition:
     trailing zeros.  Raises ValueError for anything else.
     """
     p = tuple(parts)
+    # One pass: a bad part anywhere is reported before any disorder.
+    ordered = True
+    prev = p[0] if p else 0
     for x in p:
         if not isinstance(x, int) or x < 0:
             raise ValueError(f"invalid partition part {x!r} in {p!r}")
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise ValueError(f"partition parts must be weakly decreasing: {p!r}")
-    cut = len(p)
-    while cut > 0 and p[cut - 1] == 0:
-        cut -= 1
-    return p[:cut]
+        if x > prev:
+            ordered = False
+        prev = x
+    if not ordered:
+        raise ValueError(f"partition parts must be weakly decreasing: {p!r}")
+    return p[:p.index(0)] if p and not p[-1] else p
 
 
 def parse_partition(text: str) -> Partition:
@@ -97,19 +99,26 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
     limit = n if max_length is None else max_length
     out: list[Partition] = []
 
-    def extend(prefix: list[int], remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        slots = limit - len(prefix)
-        for part in range(min(max_part, remaining), 0, -1):
-            if part * slots < remaining:
-                break
-            prefix.append(part)
-            extend(prefix, remaining - part, part)
-            prefix.pop()
+    def extend(prefix: Partition, slots: int, remaining: int, max_part: int) -> None:
+        # At most ``slots`` parts to go, the next in ((remaining - 1) // slots, top];
+        # the last one or two parts are emitted directly, largest first.
+        slots = slots if slots < remaining else remaining
+        top = max_part if max_part < remaining else remaining
+        if slots > 2:
+            for part in range(top, (remaining - 1) // slots, -1):
+                extend(prefix + (part,), slots - 1, remaining - part, part)
+        elif slots == 2:
+            if top == remaining:
+                out.append(prefix + (top,))
+                top -= 1
+            for part in range(top, (remaining - 1) // 2, -1):
+                out.append(prefix + (part, remaining - part))
+        elif remaining == 0:
+            out.append(prefix)
+        elif slots == 1 and top == remaining:
+            out.append(prefix + (top,))
 
-    extend([], n, n)
+    extend((), limit, n, n)
     return tuple(out)
 
 
@@ -124,15 +133,17 @@ def scale(lam: Iterable[int], c: int) -> Partition:
 def _hook_product(lam: Partition) -> int:
     # Columns lam[c] <= j < lam[c-1] all have height c, so along a row i < c
     # their hooks are consecutive integers: each run of equal-height columns
-    # is one falling factorial, and no conjugate is needed.
+    # gives one falling factorial per row above its drop c, and no conjugate
+    # is needed.
     ext = lam + (0,)
-    drops = [c for c in range(1, len(ext)) if ext[c] < ext[c - 1]]
-    return prod(
-        perm(row - ext[c] + c - i - 1, ext[c - 1] - ext[c])
-        for i, row in enumerate(lam)
-        for c in drops
-        if c > i
-    )
+    acc = 1
+    for c in range(1, len(ext)):
+        width = ext[c - 1] - ext[c]
+        if width:
+            base = c - 1 - ext[c]
+            for i in range(c):
+                acc *= perm(lam[i] + base - i, width)
+    return acc
 
 
 def hook_dimension(lam: Iterable[int]) -> int:
@@ -180,7 +191,9 @@ class Decomposition(NamedTuple):
 
     def dimension_sum(self) -> int:
         """Total dimension: sum of multiplicity * irreducible dimension."""
-        return sum(m * hook_dimension(nu) for nu, m in self.entries.items())
+        total = factorial(self.n)  # once; every key is still checked
+        return sum(m * (total // _hook_product(check_partition(nu)))
+                   for nu, m in self.entries.items())
 
 
 def _common_size(*parts: Partition) -> int:

@@ -124,6 +124,11 @@ def test_decomposition_helpers():
     dec = Decomposition(4, {(2, 2): 1, (4,): 1, (1, 1, 1, 1): 1})
     assert dec.restrict_length(2).entries == {(4,): 1, (2, 2): 1}
     assert dec.dimension_sum() == 1 + 2 + 1
+    # The keys are still checked now that n! is formed once per sum.
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        Decomposition(3, {(1, 2): 1}).dimension_sum()
+    with pytest.raises(ValueError, match="invalid partition part 'x'"):
+        Decomposition(3, {(2, "x"): 1}).dimension_sum()
 
 
 def _class_sum(table, lam, mu, nu):
@@ -135,20 +140,26 @@ def _class_sum(table, lam, mu, nu):
     )
 
 
+def _overlap(alpha, beta):
+    # |alpha & beta|: the number of cells the two Young diagrams share.
+    return sum(map(min, alpha, beta))
+
+
 def test_length_bound_holds_on_full_table_class_sums():
-    # The fact the candidate pruning rests on, checked without the pruning:
-    # g(lam, mu, nu) = 0 whenever len(nu) > len(lam) * len(mu).
-    checked = 0
-    for n in range(1, 9):
+    # The facts the candidate pruning rests on, checked without the pruning:
+    # over the nu with g(lam, mu, nu) != 0, the most parts is exactly
+    # |lam & mu'| and the largest first part exactly |lam & mu| (Dvir).
+    pairs = 0
+    for n in range(1, 10):
         table = character_table(n)
         parts = table.partitions
         for lam in parts:
             for mu in parts:
-                for nu in parts:
-                    if len(nu) > len(lam) * len(mu):
-                        assert _class_sum(table, lam, mu, nu) == 0, (lam, mu, nu)
-                        checked += 1
-    assert checked
+                support = [nu for nu in parts if _class_sum(table, lam, mu, nu)]
+                assert max(map(len, support)) == _overlap(lam, conjugate(mu)), (lam, mu)
+                assert max(nu[0] for nu in support) == _overlap(lam, mu), (lam, mu)
+                pairs += 1
+    assert pairs == 1818
 
 
 def _unpruned_entries(lam, mu, bound):

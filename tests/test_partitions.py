@@ -24,10 +24,20 @@ def test_check_partition_canonicalizes():
     assert check_partition([0]) == ()
 
 
-@pytest.mark.parametrize("bad", [(1, 2), (3, -1), (2, "x")])
+REJECTED = {
+    (1, 2): "partition parts must be weakly decreasing: (1, 2)",
+    (3, -1): "invalid partition part -1 in (3, -1)",
+    (2, "x"): "invalid partition part 'x' in (2, 'x')",
+    # An invalid part is reported even after an order violation.
+    (3, 4, -1): "invalid partition part -1 in (3, 4, -1)",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTED))
 def test_check_partition_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         check_partition(bad)
+    assert str(info.value) == REJECTED[bad]
 
 
 def test_parse_and_format():
@@ -76,11 +86,15 @@ def test_enumeration_counts_and_order():
 
 
 def test_enumeration_with_length_bound():
-    for n in range(13):
-        for bound in range(1, 6):
-            got = enumerate_partitions(n, bound)
-            want = tuple(lam for lam in enumerate_partitions(n) if len(lam) <= bound)
-            assert got == want
+    # Every bound from 0 to past n, against the independent generator: the
+    # enumeration emits its last one or two parts without recursing.
+    assert enumerate_partitions(0, 0) == ((),)
+    assert enumerate_partitions(3, 0) == ()
+    for n in range(31):
+        every = partitions_of(n)
+        for bound in range(n + 2):
+            want = tuple(lam for lam in every if len(lam) <= bound)
+            assert enumerate_partitions(n, bound) == want, (n, bound)
 
 
 def test_scale():
