@@ -32,10 +32,6 @@ from .weights import T1_W_GENERATORS, T2_W_GENERATORS, membership_t1, membership
 __all__ = ["main"]
 
 
-def _entries_payload(dec: Decomposition) -> list[dict]:
-    return [{"partition": list(nu), "mult": m} for nu, m in dec.entries.items()]
-
-
 def _emit(args: argparse.Namespace, payload: dict, started: float) -> None:
     record = {"command": args.command, **payload}
     if not args.no_timing:
@@ -93,7 +89,7 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
         },
     }
     closed = None
-    if args.mode in ("closed", "both"):
+    if args.mode != "oracle":
         closed = closed_form(lam, mu, bound)
         if closed is None:
             given = "no length bound" if bound is None else f"--max-length {bound}"
@@ -103,16 +99,12 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
                 file=sys.stderr,
             )
             return 3, None
-    if args.mode == "closed":
-        payload["entries"] = _entries_payload(closed)
-        return 0, payload
-    oracle = tensor_decompose(lam, mu, bound)
-    payload["entries"] = _entries_payload(oracle)
+    dec = closed if args.mode == "closed" else tensor_decompose(lam, mu, bound)
+    payload["entries"] = [{"partition": list(nu), "mult": m} for nu, m in dec.entries.items()]
     if args.mode == "both":
-        agree = oracle == closed
-        payload["modes_agree"] = agree
+        payload["modes_agree"] = agree = dec == closed
         if not agree:
-            payload["diff"] = _decomposition_diff(oracle, closed)
+            payload["diff"] = _decomposition_diff(dec, closed)
             return 1, payload
     return 0, payload
 
@@ -167,14 +159,13 @@ def cmd_dim(args: argparse.Namespace) -> tuple[int, dict | None]:
     return 0, {"inputs": {"partition": list(lam), "gl": args.gl}, "result": result}
 
 
+_SEMIGROUPS = {"t1": (membership_t1, T1_W_GENERATORS), "t2": (membership_t2, T2_W_GENERATORS)}
+
+
 def cmd_semigroup(args: argparse.Namespace) -> tuple[int, dict | None]:
     lam = parse_partition(args.partition)
-    if args.which == "t1":
-        combo = membership_t1(lam)
-        generators = T1_W_GENERATORS
-    else:
-        combo = membership_t2(lam)
-        generators = T2_W_GENERATORS
+    membership, generators = _SEMIGROUPS[args.which]
+    combo = membership(lam)
     return 0, {
         "inputs": {"which": args.which, "partition": list(lam)},
         "result": {
@@ -237,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("semigroup", help="solve a weight over the boundary generators")
-    p.add_argument("which", choices=["t1", "t2"])
+    p.add_argument("which", choices=list(_SEMIGROUPS))
     p.add_argument("partition", help="partition")
     p.set_defaults(func=cmd_semigroup)
 

@@ -10,7 +10,8 @@ nonzero, and costs one dot product per candidate nu: the weights against
 the row of nu on those classes.  Exact divisibility of every such sum is
 asserted, in the one kernel that ``kronecker`` and ``tensor_decompose``
 share; a failure would mean the character engine is broken, so it raises
-instead of returning garbage.
+instead of returning garbage.  Both check their partitions and common size
+with the one ``partitions._same_size``.
 
 The functions here are pure; per-constituent computations are independent
 and deterministic.
@@ -25,8 +26,7 @@ from typing import Iterable
 
 from .characters import character_row, class_sizes
 from .partitions import (
-    Decomposition, Partition, _common_size, _pair, check_partition, conjugate,
-    enumerate_partitions,
+    Decomposition, Partition, _pair, _same_size, conjugate, enumerate_partitions,
 )
 
 __all__ = [
@@ -55,10 +55,7 @@ def _multiplicity(n: int, weights: list[int], values: Iterable[int]) -> int:
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of the irreducible ``nu`` in the tensor product lam (x) mu."""
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    nu = check_partition(nu)
-    n = _common_size(lam, mu, nu)
+    lam, mu, nu, n = _same_size(lam, mu, nu)
     return _multiplicity(n, _weights(n, lam, mu), character_row(nu))
 
 

@@ -6,9 +6,10 @@ stored without trailing zeros so that tuple equality is canonical equality.
 All arithmetic is exact (Python integers, no floating point anywhere), and
 every function in this module is pure, so concurrent use needs no locking.
 
-The ``Decomposition`` record and ``_pair``, the input check shared by
-``kronecker.tensor_decompose`` and ``closed_forms.closed_form``, live here,
-so each route reads them without loading the other.
+The ``Decomposition`` record and the routes' input checks live here, so each
+route reads them without loading the other.  ``_same_size`` checks any number
+of partitions and returns them with their common size; ``_pair`` adds the
+length bound for ``kronecker.tensor_decompose`` and ``closed_forms.closed_form``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "format_partition",
     "conjugate",
     "enumerate_partitions",
-    "scale",
     "hook_dimension",
     "schur_dimension",
     "Decomposition",
@@ -97,6 +97,8 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
     if n < 0:
         raise ValueError(f"cannot enumerate partitions of {n}")
     limit = n if max_length is None else max_length
+    if limit < 0:
+        raise ValueError(f"length bound must be nonnegative, got {limit}")
     out: list[Partition] = []
 
     def extend(prefix: Partition, slots: int, remaining: int, max_part: int) -> None:
@@ -120,14 +122,6 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
 
     extend((), limit, n, n)
     return tuple(out)
-
-
-def scale(lam: Iterable[int], c: int) -> Partition:
-    """Multiply every part by the positive integer ``c``."""
-    lam = check_partition(lam)
-    if c < 1:
-        raise ValueError(f"scale factor must be positive, got {c}")
-    return tuple(part * c for part in lam)
 
 
 def _hook_product(lam: Partition) -> int:
@@ -190,25 +184,30 @@ class Decomposition(NamedTuple):
         return Decomposition(self.n, kept)
 
     def dimension_sum(self) -> int:
-        """Total dimension: sum of multiplicity * irreducible dimension."""
+        """Sum of multiplicity * dimension; ValueError unless each key is a partition of n."""
         total = factorial(self.n)  # once; every key is still checked
-        return sum(m * (total // _hook_product(check_partition(nu)))
-                   for nu, m in self.entries.items())
+        dims = 0
+        for key, m in self.entries.items():
+            nu = check_partition(key)
+            if sum(nu) != self.n:
+                raise ValueError(f"{key!r} is not a partition of {self.n}")
+            dims += m * (total // _hook_product(nu))
+        return dims
 
 
-def _common_size(*parts: Partition) -> int:
-    sizes = {sum(p) for p in parts}
+def _same_size(*parts: Iterable[int]) -> tuple:
+    # Each partition checked, in order, then their one size: (*parts, n).
+    checked = [check_partition(p) for p in parts]
+    sizes = {sum(p) for p in checked}
     if len(sizes) != 1:
         raise ValueError(f"partitions of unequal sizes: {sorted(sizes)}")
-    return sizes.pop()
+    return (*checked, sizes.pop())
 
 
 def _pair(
     lam: Partition, mu: Partition, max_length: int | None
 ) -> tuple[Partition, Partition, int]:
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    n = _common_size(lam, mu)
+    lam, mu, n = _same_size(lam, mu)
     if max_length is not None and max_length < 1:
         raise ValueError(f"length bound must be positive, got {max_length}")
     return lam, mu, n

@@ -51,15 +51,6 @@ class GeneratorCombination(NamedTuple):
     coefficients: tuple[int, ...]
     generators: tuple[Partition, ...]
 
-    def reconstruct(self) -> Partition:
-        """Part-wise sum of coefficient * generator, trailing zeros trimmed."""
-        width = max((len(g) for g in self.generators), default=0)
-        total = [0] * width
-        for coeff, gen in zip(self.coefficients, self.generators):
-            for i, part in enumerate(gen):
-                total[i] += coeff * part
-        return check_partition(total)
-
 
 # Third-factor components of the boundary weights, in solver order.
 T1_W_GENERATORS: tuple[Partition, ...] = ((1, 1, 1, 1), (2,), (2, 2), (2, 2, 2))
@@ -89,6 +80,14 @@ def theorem2_weights() -> tuple[SemiInvariantWeight, ...]:
     )
 
 
+def _padded(lam: Partition, k: int) -> Partition:
+    # The solvers' ambient space: at most k parts, zero-padded to exactly k.
+    lam = check_partition(lam)
+    if len(lam) > k:
+        raise ValueError(f"{lam} has more than {k} parts")
+    return lam + (0,) * (k - len(lam))
+
+
 def membership_t1(lam: Partition) -> GeneratorCombination | None:
     """Solve lam = a(1,1,1,1) + b(2,0,0,0) + c(2,2,0,0) + d(2,2,2,0).
 
@@ -97,10 +96,7 @@ def membership_t1(lam: Partition) -> GeneratorCombination | None:
     more than 4 parts are outside the semigroup's ambient space and are
     rejected.
     """
-    lam = check_partition(lam)
-    if len(lam) > 4:
-        raise ValueError(f"{lam} has more than 4 parts")
-    l1, l2, l3, l4 = (lam + (0, 0, 0, 0))[:4]
+    l1, l2, l3, l4 = _padded(lam, 4)
     if (l1 - l2) % 2 or (l2 - l3) % 2 or (l3 - l4) % 2:
         return None
     coeffs = (l4, (l1 - l2) // 2, (l2 - l3) // 2, (l3 - l4) // 2)
@@ -114,10 +110,7 @@ def membership_t2(lam: Partition) -> GeneratorCombination | None:
     (lam2-lam3)/2); membership requires all three to be nonnegative
     integers.  Partitions with more than 3 parts are rejected.
     """
-    lam = check_partition(lam)
-    if len(lam) > 3:
-        raise ValueError(f"{lam} has more than 3 parts")
-    l1, l2, l3 = (lam + (0, 0, 0))[:3]
+    l1, l2, l3 = _padded(lam, 3)
     if (l1 - l2) % 2 or (l2 - l3) % 2:
         return None
     combo = l2 + l3 - l1

@@ -304,6 +304,7 @@ CONTRACT = [
     (["chartable", "-1"], 2, None, "no symmetric group"),
     (["dim", "0", "--gl", "3"], 0, "json", None),
     (["dim", "2,1", "--gl", "0"], 2, None, "GL dimension"),
+    (["semigroup", "t1", "5,3,1,1"], 0, "json", None),
     (["semigroup", "t2", "4,4,4"], 0, "json", None),
     (["semigroup", "t1", "1,1,1,1,1"], 2, None, "more than 4 parts"),
     (["semigroup", "t3", "2"], 2, None, "invalid choice"),

@@ -16,6 +16,8 @@ def test_theorem1_decomposition_small_cases():
         (2, 2, 2): 1,
         (3, 1, 1, 1): 1,
     }
+    with pytest.raises(ValueError, match="rectangle width must be nonnegative"):
+        theorem1_decomposition(-1)
 
 
 def test_theorem1_coefficient_spot_checked_against_oracle():
@@ -61,6 +63,8 @@ def test_theorem2_decomposition_small_cases():
     assert theorem2_decomposition(0).entries == {(): 1}
     assert theorem2_decomposition(1).entries == {(2, 2): 1}
     assert theorem2_decomposition(2).entries == {(4, 4): 1, (4, 2, 2): 1}
+    with pytest.raises(ValueError, match="rectangle width must be nonnegative"):
+        theorem2_decomposition(-1)
 
 
 def test_theorem2_matches_oracle():
@@ -110,6 +114,12 @@ def test_closed_form_rejects_bad_input():
         closed_form((2, 1), (2, 2))
     with pytest.raises(ValueError):
         closed_form((2, 2), (2, 2), 0)
+    # Both routes report a bad partition or size before a bad bound.
+    for decompose in (closed_form, tensor_decompose):
+        with pytest.raises(ValueError, match="unequal sizes"):
+            decompose((2, 1), (2, 2), 0)
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            decompose((1, 2), (2, 1), 0)
 
 
 def _covered(lam, mu, bound):

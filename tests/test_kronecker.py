@@ -129,6 +129,11 @@ def test_decomposition_helpers():
         Decomposition(3, {(1, 2): 1}).dimension_sum()
     with pytest.raises(ValueError, match="invalid partition part 'x'"):
         Decomposition(3, {(2, "x"): 1}).dimension_sum()
+    # A key of another size has no dimension in the sum, however it divides n!.
+    with pytest.raises(ValueError, match=r"^\(2, 1\) is not a partition of 4$"):
+        Decomposition(4, {(2, 1): 1}).dimension_sum()
+    with pytest.raises(ValueError, match=r"^\(1, 1, 1, 1\) is not a partition of 3$"):
+        Decomposition(3, {(2, 1): 1, (1, 1, 1, 1): 1}).dimension_sum()
 
 
 def _class_sum(table, lam, mu, nu):

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,52 @@ def test_routes_import_only_what_the_layering_allows():
     assert graph == IMPORTS
 
 
+# The checkout's root: the package sources, the benchmark and README.
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _defines(statement):
+    """The module-level names a top-level statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _identifiers(node):
+    """The names and attributes that ``node`` reads; an import alone is no use."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # A public name is used by the package outside its own definition, by
+    # the benchmark (as ``snkron.<name>``, or as a string for getattr), or
+    # is named in README.  The sources are parsed, never imported.
+    used = set()
+    for path in (ROOT / "src" / "snkron").glob("*.py"):
+        for statement in ast.parse(path.read_text(), str(path)).body:
+            used |= _identifiers(statement) - _defines(statement)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "snkron":
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    readme = (ROOT / "README.md").read_text()
+    public = [name for layer in LAYERS for name in sys.modules[f"snkron.{layer}"].__all__]
+    unused = [
+        name for name in public
+        if name not in used and not re.search(rf"`{name}\b", readme)
+    ]
+    assert unused == []
+
+
 def test_cli_import_skips_the_introspection_modules():
     # A fresh interpreter, so nothing the tests imported counts; modules the
     # site hooks load are in both snapshots and drop out of the difference.
@@ -106,7 +153,7 @@ RECORDS = [
         GeneratorCombination,
         ("coefficients", "generators"),
         ((1, 0, 1), T2_W_GENERATORS),
-        ("reconstruct",),
+        (),
     ),
 ]
 

@@ -10,7 +10,6 @@ from snkron.partitions import (
     format_partition,
     hook_dimension,
     parse_partition,
-    scale,
     schur_dimension,
 )
 
@@ -72,6 +71,8 @@ def test_enumeration_examples():
     assert enumerate_partitions(2, 1) == ((2,),)
     assert len(enumerate_partitions(16)) == 231
     assert enumerate_partitions(0) == ((),)
+    with pytest.raises(ValueError, match="cannot enumerate partitions of -1"):
+        enumerate_partitions(-1)
 
 
 def test_enumeration_counts_and_order():
@@ -90,19 +91,14 @@ def test_enumeration_with_length_bound():
     # enumeration emits its last one or two parts without recursing.
     assert enumerate_partitions(0, 0) == ((),)
     assert enumerate_partitions(3, 0) == ()
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="length bound must be nonnegative, got -1"):
+            enumerate_partitions(n, -1)
     for n in range(31):
         every = partitions_of(n)
         for bound in range(n + 2):
             want = tuple(lam for lam in every if len(lam) <= bound)
             assert enumerate_partitions(n, bound) == want, (n, bound)
-
-
-def test_scale():
-    assert scale((1, 1), 2) == (2, 2)
-    assert scale((2, 1, 1), 2) == (4, 2, 2)
-    assert scale((), 3) == ()
-    with pytest.raises(ValueError):
-        scale((2, 1), 0)
 
 
 def test_hook_dimension_examples():
