@@ -22,7 +22,7 @@ The unit of work is a row: ``character_row(lam)`` is the character of
 ``lam`` on every class of the symmetric group on |lam| letters.  The
 Kronecker coefficient oracle reads only the rows its query needs, and
 ``character_table(n)`` returns all p(n) rows as a ``CharacterTable`` named
-tuple, read from the same memo.
+tuple, each read through ``character_row``.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
@@ -155,4 +155,4 @@ def character_table(n: int) -> CharacterTable:
     """
     _check_size(n)
     parts = enumerate_partitions(n)
-    return CharacterTable(n, parts, {lam: _char(_beads(lam), n, n) for lam in parts})
+    return CharacterTable(n, parts, {lam: character_row(lam) for lam in parts})

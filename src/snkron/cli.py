@@ -1,11 +1,11 @@
 """Batch command-line access to every operation of the library.
 
-Each command prints one JSON record to stdout with keys "command",
-"inputs", the result payload ("result", or "entries" for decompositions),
-and "time_ms" unless --no-timing is given; the verify command instead
-prints one plain pass/fail line per case.  A command returns its exit code
-and its payload, and ``main`` alone writes the record around it.  Identical
-invocations produce byte-identical output once timing is suppressed.
+Stdout has two shapes.  verify streams one plain pass/fail line per case.
+Every other command returns its exit code and payload ("inputs", then
+"result", or "entries" for decompositions), and ``main`` alone writes one
+JSON record around it: "command" first, "time_ms" last unless --no-timing
+is given.  Identical invocations produce byte-identical output once timing
+is suppressed.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage, input or output
 error (including a reader that closes stdout early), 3 closed form
@@ -132,13 +132,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict | None]:
 
 def cmd_chartable(args: argparse.Namespace) -> tuple[int, dict | None]:
     table = character_table(args.n)
-    if args.format == "tsv":
-        for lam in table.partitions:
-            for rho, value in zip(table.partitions, table.rows[lam]):
-                print(f"{format_partition(lam)}\t{format_partition(rho)}\t{value}")
-        return 0, None
     return 0, {
-        "inputs": {"n": args.n, "format": args.format},
+        "inputs": {"n": args.n},
         "result": {
             "classes": [list(rho) for rho in table.partitions],
             "centralizer_orders": [factorial(args.n) // size for size in class_sizes(args.n)],
@@ -219,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chartable", help="print a full character table")
     p.add_argument("n", type=int)
-    p.add_argument("--format", choices=["tsv", "json"], default="json")
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("dim", help="irreducible dimension, or GL Schur module dimension")

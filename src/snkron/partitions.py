@@ -179,7 +179,8 @@ class Decomposition(NamedTuple):
     entries: dict[Partition, int]
 
     def restrict_length(self, max_length: int) -> "Decomposition":
-        """Sub-sum over constituents with at most ``max_length`` parts."""
+        """Sub-sum over constituents with at most ``max_length`` parts; ValueError below 1."""
+        _length_bound(max_length)
         kept = {nu: m for nu, m in self.entries.items() if len(nu) <= max_length}
         return Decomposition(self.n, kept)
 
@@ -204,10 +205,14 @@ def _same_size(*parts: Iterable[int]) -> tuple:
     return (*checked, sizes.pop())
 
 
+def _length_bound(max_length: int | None) -> None:
+    if max_length is not None and max_length < 1:
+        raise ValueError(f"length bound must be positive, got {max_length}")
+
+
 def _pair(
     lam: Partition, mu: Partition, max_length: int | None
 ) -> tuple[Partition, Partition, int]:
     lam, mu, n = _same_size(lam, mu)
-    if max_length is not None and max_length < 1:
-        raise ValueError(f"length bound must be positive, got {max_length}")
+    _length_bound(max_length)
     return lam, mu, n

@@ -11,7 +11,7 @@ stated independently of the generators in ``closed_forms``; the tests
 compare the two statements.
 
 Both membership solvers use a closed triangular solve; the generators are
-unimodular, so the combination is unique whenever it exists.
+linearly independent (determinants -8 and -16), so a solution is unique.
 """
 
 from __future__ import annotations

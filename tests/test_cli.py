@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,8 +9,8 @@ import pytest
 
 import snkron
 from snkron import closed_forms
-from snkron.cli import _decomposition_diff, main
-from snkron.kronecker import Decomposition
+from snkron.cli import _build_parser, _decomposition_diff, main
+from snkron.partitions import Decomposition
 
 # The child interpreter imports the same snkron as the tests, installed or not.
 SRC = os.path.dirname(os.path.dirname(snkron.__file__))
@@ -147,29 +148,15 @@ def test_verify_cap_exceeded_exits_2():
     assert "cap" in err
 
 
-def test_chartable_tsv():
-    code, out, _ = run_cli("chartable", "3", "--format", "tsv")
-    assert code == 0
-    assert out.splitlines() == [
-        "3\t3\t1",
-        "3\t2,1\t1",
-        "3\t1,1,1\t1",
-        "2,1\t3\t-1",
-        "2,1\t2,1\t0",
-        "2,1\t1,1,1\t2",
-        "1,1,1\t3\t1",
-        "1,1,1\t2,1\t-1",
-        "1,1,1\t1,1,1\t1",
-    ]
-
-
 def test_chartable_json():
-    record = run_json("chartable", "2", "--format", "json")
-    assert record["result"]["classes"] == [[2], [1, 1]]
-    assert record["result"]["centralizer_orders"] == [2, 2]
+    record = run_json("chartable", "3")
+    assert record["inputs"] == {"n": 3}
+    assert record["result"]["classes"] == [[3], [2, 1], [1, 1, 1]]
+    assert record["result"]["centralizer_orders"] == [3, 2, 6]
     assert record["result"]["characters"] == [
-        {"partition": [2], "values": [1, 1]},
-        {"partition": [1, 1], "values": [-1, 1]},
+        {"partition": [3], "values": [1, 1, 1]},
+        {"partition": [2, 1], "values": [-1, 0, 2]},
+        {"partition": [1, 1, 1], "values": [1, -1, 1]},
     ]
 
 
@@ -299,7 +286,7 @@ CONTRACT = [
     (["verify", "--theorem", "1", "--n-max", "-1"], 2, None, "nonnegative"),
     (["verify", "--theorem", "3", "--n-max", "1"], 2, None, "invalid choice"),
     (["chartable", "0"], 0, "json", None),
-    (["chartable", "4", "--format", "tsv"], 0, "lines", None),
+    (["chartable", "4", "--format", "tsv"], 2, None, "unrecognized arguments"),
     (["chartable", "25"], 2, None, "cap"),
     (["chartable", "-1"], 2, None, "no symmetric group"),
     (["dim", "0", "--gl", "3"], 0, "json", None),
@@ -347,21 +334,45 @@ def test_mismatch_exits_1(capsys, monkeypatch):
     assert capsys.readouterr().out == "theorem=1 n=1 FAIL\n"
 
 
+# Every option string of the CLI, global (None) and per command.
+OPTIONS = {
+    None: {"--no-timing"},
+    "kron": set(),
+    "tensor": {"--max-length", "--mode"},
+    "verify": {"--theorem", "--n-max"},
+    "chartable": set(),
+    "dim": {"--gl"},
+    "semigroup": set(),
+}
+
+
+def test_option_strings_are_pinned():
+    def options(parser):
+        return {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: options(p) for name, p in sub.choices.items()}
+    assert {None: options(parser), **found} == OPTIONS
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_closed_reader_exits_2(unbuffered):
-    # About 470 kB of output, far past a pipe buffer, so the writer must
-    # meet the closed pipe whether it writes line by line or in blocks.
+    # One JSON line of about 208 kB, far past a pipe buffer, so the writer
+    # must meet the closed pipe whether stdout is buffered or not.  The
+    # reader takes only the first bytes; readline() would drain the record.
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
-        [sys.executable, "-m", "snkron", "chartable", "14", "--format", "tsv"],
+        [sys.executable, "-m", "snkron", "chartable", "16"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     )
-    assert proc.stdout.readline() == b"14\t14\t1\n"
+    head = b'{"command": "chartable"'
+    assert proc.stdout.read(len(head)) == head
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

@@ -123,6 +123,9 @@ def test_trivial_and_sign_output_components():
 def test_decomposition_helpers():
     dec = Decomposition(4, {(2, 2): 1, (4,): 1, (1, 1, 1, 1): 1})
     assert dec.restrict_length(2).entries == {(4,): 1, (2, 2): 1}
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=rf"^length bound must be positive, got {bad}$"):
+            dec.restrict_length(bad)
     assert dec.dimension_sum() == 1 + 2 + 1
     # The keys are still checked now that n! is formed once per sum.
     with pytest.raises(ValueError, match="weakly decreasing"):

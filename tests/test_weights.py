@@ -71,8 +71,9 @@ def _det(matrix):
 def test_generator_weights_are_linearly_independent():
     t1 = [list(g) + [0] * (4 - len(g)) for g in T1_W_GENERATORS]
     t2 = [list(g) + [0] * (3 - len(g)) for g in T2_W_GENERATORS]
-    assert _det(t1) != 0
-    assert _det(t2) != 0
+    # Nonzero, so combinations are unique; not +-1, so they may be fractional.
+    assert _det(t1) == -8
+    assert _det(t2) == -16
 
 
 def test_membership_t1_examples():
