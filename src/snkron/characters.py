@@ -124,6 +124,7 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     return _char(_beads(lam), n, n)
 
 
+# Memoized: warm callers reuse it, and at S_20 it costs more than a kronecker call.
 @lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
     """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order.

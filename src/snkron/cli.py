@@ -238,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(args, payload, started)
         sys.stdout.flush()
         return code
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # overflow: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

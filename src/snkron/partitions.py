@@ -3,8 +3,8 @@
 A partition is represented as a plain tuple of weakly decreasing positive
 integers; the empty tuple is the unique partition of 0.  Partitions are
 stored without trailing zeros so that tuple equality is canonical equality.
-All arithmetic is exact (Python integers, no floating point anywhere), and
-every function in this module is pure, so concurrent use needs no locking.
+All arithmetic is exact (Python integers, no floating point anywhere).  The
+module holds no state: every function is pure, so concurrency needs no lock.
 
 The ``Decomposition`` record and the routes' input checks live here, so each
 route reads them without loading the other.  ``_same_size`` checks any number
@@ -14,7 +14,6 @@ length bound for ``kronecker.tensor_decompose`` and ``closed_forms.closed_form``
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial, perm, prod
 from typing import Iterable, NamedTuple
 
@@ -84,8 +83,6 @@ def conjugate(lam: Iterable[int]) -> Partition:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
-# Memoized: theorem 1 at width n needs (n - 2, 4), enumerated already at width n - 2.
-@lru_cache(maxsize=None)
 def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partition, ...]:
     """All partitions of ``n`` in decreasing lexicographic order.
 
@@ -153,16 +150,16 @@ def hook_dimension(lam: Iterable[int]) -> int:
 def schur_dimension(lam: Iterable[int], d: int) -> int:
     """Dimension of the Schur module of highest weight ``lam`` over GL(d).
 
-    Hook content formula: product of (d + column - row) over the cells,
-    divided by the hook product.  Zero when the partition has more than
-    ``d`` parts.
+    Hook content formula: product of (d + column - row) over the cells, one
+    falling factorial per row, divided by the hook product.  Zero when the
+    partition has more than ``d`` parts.
     """
     lam = check_partition(lam)
     if d < 1:
         raise ValueError(f"GL dimension must be positive, got {d}")
     if len(lam) > d:
         return 0
-    num = prod(d + j - i for i, row in enumerate(lam) for j in range(row))
+    num = prod(perm(d - i + row - 1, row) for i, row in enumerate(lam))
     return num // _hook_product(lam)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -23,15 +24,26 @@ from oracles import (
 )
 
 
+# enumerate_partitions keeps no memo, and these tests read the classes of
+# one n many times, so the test module keeps its own.
+classes_of = functools.cache(enumerate_partitions)
+
+
+@functools.cache
+def class_index(n):
+    """Column of each class of S_n."""
+    return {rho: i for i, rho in enumerate(classes_of(n))}
+
+
 def value(lam, rho):
     """chi_lam(rho), read from the row of lam."""
-    return character_row(lam)[enumerate_partitions(sum(rho)).index(rho)]
+    return character_row(lam)[class_index(sum(rho))[rho]]
 
 
 def centralizer(rho):
     """n! / |class(rho)|, from the library's class sizes."""
     n = sum(rho)
-    return math.factorial(n) // class_sizes(n)[enumerate_partitions(n).index(rho)]
+    return math.factorial(n) // class_sizes(n)[class_index(n)[rho]]
 
 
 def test_centralizer_order_examples():
@@ -176,11 +188,11 @@ def test_memo_stays_small_on_s24_square(cold_memo):
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(st.integers(13, DEFAULT_CAP).flatmap(lambda n: st.sampled_from(enumerate_partitions(n))))
+@given(st.integers(13, DEFAULT_CAP).flatmap(lambda n: st.sampled_from(classes_of(n))))
 def test_row_properties_past_brute_force(lam):
     n = sum(lam)
     row = character_row(lam)
-    classes = enumerate_partitions(n)
+    classes = classes_of(n)
     assert sum(size * x * x for size, x in zip(class_sizes(n), row)) == math.factorial(n)
     assert row[-1] == hook_dimension(lam)
     signs = [(-1) ** (n - len(rho)) for rho in classes]

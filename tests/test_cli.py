@@ -291,6 +291,9 @@ CONTRACT = [
     (["chartable", "-1"], 2, None, "no symmetric group"),
     (["dim", "0", "--gl", "3"], 0, "json", None),
     (["dim", "2,1", "--gl", "0"], 2, None, "GL dimension"),
+    # Sizes past sys.maxsize overflow a factorial: an input error, not a crash.
+    (["dim", "99999999999999999999"], 2, None, "should not exceed"),
+    (["dim", "99999999999999999999", "--gl", "1"], 2, None, "must not exceed"),
     (["semigroup", "t1", "5,3,1,1"], 0, "json", None),
     (["semigroup", "t2", "4,4,4"], 0, "json", None),
     (["semigroup", "t1", "1,1,1,1,1"], 2, None, "more than 4 parts"),

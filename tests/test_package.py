@@ -1,4 +1,5 @@
 import ast
+import doctest
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import snkron
 from snkron.characters import CharacterTable, character_table
 from snkron.partitions import Decomposition
 from snkron.weights import T2_W_GENERATORS, GeneratorCombination, SemiInvariantWeight
+from conftest import package_memos
 from test_cli import child_env
 
 LAYERS = ("partitions", "characters", "kronecker", "closed_forms", "weights")
@@ -67,6 +69,13 @@ def test_routes_import_only_what_the_layering_allows():
     assert graph == IMPORTS
 
 
+def test_only_the_character_layer_keeps_memos():
+    # The row segments the border-strip recursion reuses, and the class sizes
+    # warm callers reuse; partitions and the routes hold no state.
+    found = {f"{memo.__module__}.{memo.__qualname__}" for memo in package_memos()}
+    assert found == {"snkron.characters._char", "snkron.characters.class_sizes"}
+
+
 # The checkout's root: the package sources, the benchmark and README.
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +120,15 @@ def test_every_public_name_has_a_caller():
         if name not in used and not re.search(rf"`{name}\b", readme)
     ]
     assert unused == []
+
+
+def test_readme_library_examples_run():
+    # The fenced block alone: doctest on the whole README would read the
+    # closing fence as expected output.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README Library", "README.md", 0)
+    assert doctest.DocTestRunner().run(test) == (0, 7)
 
 
 def test_cli_import_skips_the_introspection_modules():
