@@ -14,9 +14,11 @@ The recursion builds whole row segments.  ``_char(mask, size, bound)`` is
 the character of one shape on every class of S_size whose cycles are all at
 most ``bound``, in ``enumerate_partitions`` order.  That order groups the
 classes by their first cycle r, so the segment for r is the signed sum of
-the sub-rows ``_char(mask - strip, size - r, r)`` over the r-strips, and
-one memo entry stands for a (shape, size, largest cycle) triple.  The full
-row of lam is ``_char(beads(lam), n, n)``.
+the sub-rows ``_char(mask - strip, size - r, r)`` over the r-strips.  The
+classes with cycles at most b come last, so the memo ``_rows`` keeps one
+row per shape (the mask fixes the size), for the largest bound asked so far;
+a smaller bound reads its suffix, p(size, parts <= b) long, and a larger one
+prepends the missing segments.  The full row of lam is ``_char(beads(lam), n, n)``.
 
 The unit of work is a row: ``character_row(lam)`` is the character of
 ``lam`` on every class of the symmetric group on |lam| letters.  The
@@ -27,11 +29,10 @@ tuple, each read through ``character_row``.
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
-Concurrency: every function here is pure; the two memos behind them, the
-``lru_cache`` of row segments on ``_char`` and the ``lru_cache`` on
-``class_sizes``, only ever insert values, and their insertions are atomic,
-so concurrent callers are safe and, at worst, duplicate some work while
-always observing identical results.
+Concurrency: every function here is pure, and its memos (``_rows`` and the
+caches of ``_widths`` and ``class_sizes``) change only by atomic stores of
+correct values.  A racing writer may store a shorter row of a shape than the
+one it replaces: that costs recomputation, never a wrong value.
 """
 
 from __future__ import annotations
@@ -75,13 +76,30 @@ def _beads(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def _widths(m: int) -> tuple[int, ...]:
+    # p(m, parts <= b) for b = 0..m: the length of a row of S_m bounded by b.
+    w = [int(not m)]
+    for b in range(1, m + 1):
+        w.append(w[-1] + _widths(m - b)[min(b, m - b)])
+    return tuple(w)
+
+
+_rows: dict[int, tuple[int, tuple[int, ...]]] = {}  # mask -> (bound b, row up to b)
+
+
 def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
     # One segment per first cycle r (see the module docstring): the signed
     # sum of the sub-rows left by moving a bead from b down to an empty b - r.
     if not size:
         return (1,)
+    bound = min(size, bound)
+    old, tail = _rows.get(mask, (0, ()))
+    if old >= bound:
+        return tail[-_widths(size)[bound]:]
     row: list[int] = []
-    for r in range(min(size, bound), 0, -1):
+    for r in range(bound, old, -1):
+        rest = size - r
+        width = _widths(rest)[min(r, rest)]
         segment = None
         movable = mask & ~(mask << r) & ~((1 << r) - 1)
         while movable:
@@ -89,19 +107,18 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
             movable ^= 1 << b
             moved = mask ^ (1 << b) ^ (1 << (b - r))
             moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
-            part = _char(moved, size - r, r)
+            hit = _rows.get(moved)
+            part = hit[1][-width:] if hit and len(hit[1]) >= width else _char(moved, rest, r)
             odd = ((mask >> (b - r + 1)) & ((1 << (r - 1)) - 1)).bit_count() & 1
             # Lazy maps: row.extend below sums every strip's part in one pass.
             if segment is None:
                 segment = map(neg, part) if odd else part
             else:
                 segment = map(sub if odd else add, segment, part)
-        if segment is None:
-            # No r-strip: zeros, as many as the trivial character's sub-row.
-            row.extend([0] * len(_char(1 << (size - r), size - r, r)))
-        else:
-            row.extend(segment)
-    return tuple(row)
+        # No r-strip: zeros, as many as the classes of S_rest with cycles <= r.
+        row.extend([0] * width if segment is None else segment)
+    _rows[mask] = entry = (bound, tuple(row) + tail)
+    return entry[1]
 
 
 def _check_size(n: int) -> None:
@@ -113,7 +130,7 @@ def _check_size(n: int) -> None:
 
 
 def character_row(lam: Partition) -> tuple[int, ...]:
-    """Values of the irreducible ``lam`` on every class, memoized per partition.
+    """Values of ``lam`` on every class; a repeated read returns the memo's tuple.
 
     Columns are the cycle types of ``enumerate_partitions(|lam|)`` in order.
     Raises ValueError when |lam| exceeds ``DEFAULT_CAP``.
@@ -121,7 +138,9 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     lam = check_partition(lam)
     n = sum(lam)
     _check_size(n)
-    return _char(_beads(lam), n, n)
+    mask = _beads(lam)
+    hit = _rows.get(mask)  # a full row is read without a call
+    return hit[1] if hit and hit[0] == n else _char(mask, n, n)
 
 
 # Memoized: warm callers reuse it, and at S_20 it costs more than a kronecker call.

@@ -137,14 +137,25 @@ def _hook_product(lam: Partition) -> int:
     return acc
 
 
+# Slowest at this size: columns and hooks with d near 2|lam|, ~2 s on 2 vCPUs, Python 3.11.
+_CELL_BOUND = 40_000
+
+
+def _cells(lam: Iterable[int]) -> tuple[Partition, int]:
+    lam = check_partition(lam)
+    if (n := sum(lam)) > _CELL_BOUND:
+        raise ValueError(f"{n} cells exceed the dimension bound of {_CELL_BOUND} cells")
+    return lam, n
+
+
 def hook_dimension(lam: Iterable[int]) -> int:
     """Dimension of the symmetric-group irreducible indexed by ``lam``.
 
     Hook length formula: |lam|! divided by the product of all hook lengths.
-    Counts standard Young tableaux of the shape.
+    Counts standard Young tableaux; raises ValueError past 40 000 cells.
     """
-    lam = check_partition(lam)
-    return factorial(sum(lam)) // _hook_product(lam)
+    lam, n = _cells(lam)
+    return factorial(n) // _hook_product(lam)
 
 
 def schur_dimension(lam: Iterable[int], d: int) -> int:
@@ -152,9 +163,9 @@ def schur_dimension(lam: Iterable[int], d: int) -> int:
 
     Hook content formula: product of (d + column - row) over the cells, one
     falling factorial per row, divided by the hook product.  Zero when the
-    partition has more than ``d`` parts.
+    partition has more than ``d`` parts.  Raises ValueError past 40 000 cells.
     """
-    lam = check_partition(lam)
+    lam, _ = _cells(lam)
     if d < 1:
         raise ValueError(f"GL dimension must be positive, got {d}")
     if len(lam) > d:

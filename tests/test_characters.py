@@ -1,5 +1,8 @@
 import functools
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,10 +184,60 @@ def test_rows_match_per_class_recursion(cold_memo):
             assert character_row(lam) == tuple(mn_character(lam, rho) for rho in classes)
 
 
+def _memo_size():
+    """Entries and stored values of the row memo."""
+    rows = characters._rows
+    return len(rows), sum(len(row) for _, row in rows.values())
+
+
 def test_memo_stays_small_on_s24_square(cold_memo):
-    # One entry per (shape, size, largest cycle), not per cycle suffix.
+    # One entry per shape: 1 291 entries, and the bound allows 10 % more.
     tensor_decompose((12, 12), (12, 12))
-    assert characters._char.cache_info().currsize < 10_000
+    assert _memo_size()[0] <= 1_420
+
+
+def test_memo_size_is_deterministic(cold_memo):
+    # The same cold query leaves the same memo, within bounds that one entry
+    # per (shape, largest cycle) exceeds.
+    tensor_decompose((12, 12), (12, 12))
+    first = _memo_size()
+    cold_memo()
+    tensor_decompose((12, 12), (12, 12))
+    assert _memo_size() == first
+    assert first[0] <= 1_300 and first[1] <= 370_000
+
+
+def _bounded(lam, bound):
+    return characters._char(characters._beads(lam), sum(lam), bound)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounded_rows_are_suffixes_in_any_order(cold_memo, seed):
+    # The classes with every cycle <= b come last, so a bounded row is the
+    # suffix of the full row on them, whichever bounds were asked before.
+    full = {lam: character_row(lam) for n in range(1, 13) for lam in classes_of(n)}
+    width = {
+        (n, b): sum(rho[0] <= b for rho in classes_of(n))
+        for n in range(1, 13)
+        for b in range(1, n + 1)
+    }
+    asks = [(lam, b) for lam in full for b in range(1, sum(lam) + 1)]
+    random.Random(seed).shuffle(asks)
+
+    def mismatches(chunk):
+        return [(lam, b) for lam, b in chunk if _bounded(lam, b) != full[lam][-width[sum(lam), b]:]]
+
+    cold_memo()
+    assert mismatches(asks) == []
+    cold_memo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            found = list(pool.map(mismatches, [asks[i::4] for i in range(4)], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert found == [[], [], [], []]
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

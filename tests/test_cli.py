@@ -291,9 +291,13 @@ CONTRACT = [
     (["chartable", "-1"], 2, None, "no symmetric group"),
     (["dim", "0", "--gl", "3"], 0, "json", None),
     (["dim", "2,1", "--gl", "0"], 2, None, "GL dimension"),
-    # Sizes past sys.maxsize overflow a factorial: an input error, not a crash.
-    (["dim", "99999999999999999999"], 2, None, "should not exceed"),
-    (["dim", "99999999999999999999", "--gl", "1"], 2, None, "must not exceed"),
+    # Sizes past the dimension bound are an input error, not a crash or a
+    # long run; the bound is checked before any factorial.
+    (["dim", "99999999999999999999"], 2, None, "dimension bound of 40000 cells"),
+    (["dim", "99999999999999999999", "--gl", "1"], 2, None, "dimension bound of 40000 cells"),
+    (["dim", "40001"], 2, None, "40001 cells exceed"),
+    (["dim", "1000000"], 2, None, "dimension bound"),
+    (["dim", "300000", "--gl", "2"], 2, None, "dimension bound"),
     (["semigroup", "t1", "5,3,1,1"], 0, "json", None),
     (["semigroup", "t2", "4,4,4"], 0, "json", None),
     (["semigroup", "t1", "1,1,1,1,1"], 2, None, "more than 4 parts"),

@@ -70,10 +70,14 @@ def test_routes_import_only_what_the_layering_allows():
 
 
 def test_only_the_character_layer_keeps_memos():
-    # The row segments the border-strip recursion reuses, and the class sizes
-    # warm callers reuse; partitions and the routes hold no state.
-    found = {f"{memo.__module__}.{memo.__qualname__}" for memo in package_memos()}
-    assert found == {"snkron.characters._char", "snkron.characters.class_sizes"}
+    # One row per shape that the border-strip recursion reuses, the row
+    # lengths it slices by, and the class sizes warm callers reuse;
+    # partitions and the routes hold no state.
+    assert set(package_memos()) == {
+        "snkron.characters._rows",
+        "snkron.characters._widths",
+        "snkron.characters.class_sizes",
+    }
 
 
 # The checkout's root: the package sources, the benchmark and README.

@@ -126,6 +126,21 @@ def test_hook_dimension_extreme_shapes():
     assert hook_dimension((8000, 8000)) == math.comb(16000, 8000) // 8001
 
 
+def test_dimensions_share_one_cell_bound():
+    # Both formulas admit 40 000 cells and reject 40 001 before any
+    # arithmetic, even where schur_dimension would return 0.
+    assert hook_dimension((40_000,)) == 1
+    assert schur_dimension((20_000, 20_000), 2) == 1
+    for call in (
+        lambda: hook_dimension((40_001,)),
+        lambda: hook_dimension((20_001, 20_000)),
+        lambda: schur_dimension((40_001,), 2),
+        lambda: schur_dimension((1,) * 40_001, 1),
+    ):
+        with pytest.raises(ValueError, match="40001 cells exceed the dimension bound of 40000"):
+            call()
+
+
 @st.composite
 def partitions_to_300(draw):
     size = draw(st.integers(0, 300))
