@@ -16,9 +16,9 @@ most ``bound``, in ``enumerate_partitions`` order.  That order groups the
 classes by their first cycle r, so the segment for r is the signed sum of
 the sub-rows ``_char(mask - strip, size - r, r)`` over the r-strips.  The
 classes with cycles at most b come last, so the memo ``_rows`` keeps one
-row per shape (the mask fixes the size), for the largest bound asked so far;
-a smaller bound reads its suffix, p(size, parts <= b) long, and a larger one
-prepends the missing segments.  The full row of lam is ``_char(beads(lam), n, n)``.
+row per shape (the mask fixes the size) for the largest bound b asked so far;
+its length p(size, parts <= b) names b.  A smaller bound reads a suffix, a
+larger one prepends segments, and ``character_row`` reads ``_char(beads(lam), n, n)``.
 
 The unit of work is a row: ``character_row(lam)`` is the character of
 ``lam`` on every class of the symmetric group on |lam| letters.  The
@@ -84,7 +84,7 @@ def _widths(m: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-_rows: dict[int, tuple[int, tuple[int, ...]]] = {}  # mask -> (bound b, row up to b)
+_rows: dict[int, tuple[int, ...]] = {}  # mask -> row; its length names its bound
 
 
 def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
@@ -93,11 +93,12 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
     if not size:
         return (1,)
     bound = min(size, bound)
-    old, tail = _rows.get(mask, (0, ()))
-    if old >= bound:
-        return tail[-_widths(size)[bound]:]
+    widths = _widths(size)
+    tail = _rows.get(mask, ())
+    if len(tail) >= widths[bound]:
+        return tail[-widths[bound]:]
     row: list[int] = []
-    for r in range(bound, old, -1):
+    for r in range(bound, widths.index(len(tail)), -1):  # from b down to the stored bound
         rest = size - r
         width = _widths(rest)[min(r, rest)]
         segment = None
@@ -107,8 +108,8 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
             movable ^= 1 << b
             moved = mask ^ (1 << b) ^ (1 << (b - r))
             moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
-            hit = _rows.get(moved)
-            part = hit[1][-width:] if hit and len(hit[1]) >= width else _char(moved, rest, r)
+            hit = _rows.get(moved, ())
+            part = hit[-width:] if len(hit) >= width else _char(moved, rest, r)
             odd = ((mask >> (b - r + 1)) & ((1 << (r - 1)) - 1)).bit_count() & 1
             # Lazy maps: row.extend below sums every strip's part in one pass.
             if segment is None:
@@ -117,8 +118,8 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
                 segment = map(sub if odd else add, segment, part)
         # No r-strip: zeros, as many as the classes of S_rest with cycles <= r.
         row.extend([0] * width if segment is None else segment)
-    _rows[mask] = entry = (bound, tuple(row) + tail)
-    return entry[1]
+    _rows[mask] = full = tuple(row) + tail
+    return full
 
 
 def _check_size(n: int) -> None:
@@ -138,9 +139,7 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     lam = check_partition(lam)
     n = sum(lam)
     _check_size(n)
-    mask = _beads(lam)
-    hit = _rows.get(mask)  # a full row is read without a call
-    return hit[1] if hit and hit[0] == n else _char(mask, n, n)
+    return _char(_beads(lam), n, n)
 
 
 # Memoized: warm callers reuse it, and at S_20 it costs more than a kronecker call.

@@ -139,6 +139,8 @@ def _hook_product(lam: Partition) -> int:
 
 # Slowest at this size: columns and hooks with d near 2|lam|, ~2 s on 2 vCPUs, Python 3.11.
 _CELL_BOUND = 40_000
+# Numerator bits, at most |lam| * bit_length(d + |lam|); 40 000-cell columns, the slowest, take ~2 s.
+_BIT_BOUND = 800_000
 
 
 def _cells(lam: Iterable[int]) -> tuple[Partition, int]:
@@ -163,13 +165,16 @@ def schur_dimension(lam: Iterable[int], d: int) -> int:
 
     Hook content formula: product of (d + column - row) over the cells, one
     falling factorial per row, divided by the hook product.  Zero when the
-    partition has more than ``d`` parts.  Raises ValueError past 40 000 cells.
+    partition has more than ``d`` parts.  Raises ValueError past 40 000 cells
+    or past 800 000 bits of the numerator, |lam| * bit_length(d + |lam|).
     """
-    lam, _ = _cells(lam)
+    lam, n = _cells(lam)
     if d < 1:
         raise ValueError(f"GL dimension must be positive, got {d}")
     if len(lam) > d:
         return 0
+    if (bits := n * (d + n).bit_length()) > _BIT_BOUND:
+        raise ValueError(f"{bits} numerator bits exceed the dimension bound of {_BIT_BOUND} bits")
     num = prod(perm(d - i + row - 1, row) for i, row in enumerate(lam))
     return num // _hook_product(lam)
 

@@ -187,7 +187,8 @@ def test_rows_match_per_class_recursion(cold_memo):
 def _memo_size():
     """Entries and stored values of the row memo."""
     rows = characters._rows
-    return len(rows), sum(len(row) for _, row in rows.values())
+    assert all(type(row) is tuple and type(row[-1]) is int for row in rows.values())
+    return len(rows), sum(map(len, rows.values()))
 
 
 def test_memo_stays_small_on_s24_square(cold_memo):

@@ -280,6 +280,11 @@ CONTRACT = [
     (["tensor", "2,1", "2,2", "--mode", "closed"], 2, None, "unequal sizes"),
     (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None, "invalid choice"),
     (["tensor", ",".join(["1"] * 60), ",".join(["1"] * 60)], 2, None, "cap"),
+    # Past the closed-form width bound, both modes exit before any generation.
+    (["tensor", "271,271", "271,271", "--mode", "closed"], 2, None, "closed-form bound of 270"),
+    (["tensor", "271,271", "271,271", "--mode", "both"], 2, None, "closed-form bound of 270"),
+    (["tensor", "542,542", "271,271,271,271", "--max-length", "3", "--mode", "closed"], 2, None,
+     "closed-form bound of 270"),
     (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines", None),
     (["verify", "--theorem", "1", "--n-max", "13"], 2, None, "cap"),
     (["verify", "--theorem", "2", "--n-max", "7"], 2, None, "cap"),
@@ -298,6 +303,8 @@ CONTRACT = [
     (["dim", "40001"], 2, None, "40001 cells exceed"),
     (["dim", "1000000"], 2, None, "dimension bound"),
     (["dim", "300000", "--gl", "2"], 2, None, "dimension bound"),
+    # 800 cells at a D of 1 001 bits: 800 bits past the numerator bound.
+    (["dim", "800", "--gl", str(2**1000 - 800)], 2, None, "800800 numerator bits exceed"),
     (["semigroup", "t1", "5,3,1,1"], 0, "json", None),
     (["semigroup", "t2", "4,4,4"], 0, "json", None),
     (["semigroup", "t1", "1,1,1,1,1"], 2, None, "more than 4 parts"),

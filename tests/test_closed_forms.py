@@ -1,5 +1,6 @@
 import pytest
 
+from snkron import closed_forms
 from snkron.closed_forms import closed_form, theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import enumerate_partitions
@@ -120,6 +121,23 @@ def test_closed_form_rejects_bad_input():
             decompose((2, 1), (2, 2), 0)
         with pytest.raises(ValueError, match="weakly decreasing"):
             decompose((1, 2), (2, 1), 0)
+
+
+def test_closed_forms_share_one_width_bound(monkeypatch):
+    # Both theorems, and closed_form through them, admit width 270 and
+    # reject width 271 before any partition is generated.
+    assert len(theorem1_decomposition(270).entries) == 285_706
+    assert theorem2_decomposition(270).n == 1080
+    assert closed_form((540, 540), (270,) * 4, 3) == theorem2_decomposition(270)
+    monkeypatch.setattr(closed_forms, "enumerate_partitions", None)
+    for call in (
+        lambda: theorem1_decomposition(271),
+        lambda: theorem2_decomposition(271),
+        lambda: closed_form((271, 271), (271, 271)),
+        lambda: closed_form((271,) * 4, (542, 542), 3),
+    ):
+        with pytest.raises(ValueError, match="within the closed-form bound of 270, got 271"):
+            call()
 
 
 def _covered(lam, mu, bound):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snkron import partitions
 from snkron.partitions import (
     check_partition,
     conjugate,
@@ -139,6 +140,25 @@ def test_dimensions_share_one_cell_bound():
     ):
         with pytest.raises(ValueError, match="40001 cells exceed the dimension bound of 40000"):
             call()
+
+
+def test_schur_dimension_bounds_numerator_bits(monkeypatch):
+    # |lam| * bit_length(d + |lam|) may reach 800 000 bits, which admits every
+    # shape within the cell bound at d <= 2|lam| + 1, and a one-cell shape
+    # at a huge d; a call past it is rejected before any multiplication.
+    assert 40_000 * (3 * 40_000 + 1).bit_length() <= 800_000
+    assert schur_dimension((1,), 10**4000) == 10**4000
+    d = 2**1000 - 801
+    assert schur_dimension((800,), d) == math.comb(d + 799, 800)
+
+    def no_arithmetic(*args):
+        raise AssertionError("multiplied past the bound")
+
+    monkeypatch.setattr(partitions, "perm", no_arithmetic)
+    monkeypatch.setattr(partitions, "prod", no_arithmetic)
+    for lam, d, bits in (((800,), 2**1000 - 800, 800_800), ((1,) * 2000, 10**4000, 26_576_000)):
+        with pytest.raises(ValueError, match=f"^{bits} numerator bits exceed the dimension bound of 800000 bits"):
+            schur_dimension(lam, d)
 
 
 @st.composite
