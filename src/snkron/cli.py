@@ -89,6 +89,9 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
         },
     }
     closed = None
+    if args.mode == "both":
+        # The oracle's cap is met before any closed form is built.
+        class_sizes(sum(lam))
     if args.mode != "oracle":
         closed = closed_form(lam, mu, bound)
         if closed is None:

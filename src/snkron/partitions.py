@@ -143,10 +143,14 @@ _CELL_BOUND = 40_000
 _BIT_BOUND = 800_000
 
 
+def _check_cells(n: int) -> None:
+    if n > _CELL_BOUND:
+        raise ValueError(f"{n} cells exceed the dimension bound of {_CELL_BOUND} cells")
+
+
 def _cells(lam: Iterable[int]) -> tuple[Partition, int]:
     lam = check_partition(lam)
-    if (n := sum(lam)) > _CELL_BOUND:
-        raise ValueError(f"{n} cells exceed the dimension bound of {_CELL_BOUND} cells")
+    _check_cells(n := sum(lam))
     return lam, n
 
 
@@ -198,7 +202,11 @@ class Decomposition(NamedTuple):
         return Decomposition(self.n, kept)
 
     def dimension_sum(self) -> int:
-        """Sum of multiplicity * dimension; ValueError unless each key is a partition of n."""
+        """Sum of multiplicity * dimension; ValueError unless each key is a partition of n.
+
+        Shares the 40 000-cell bound of ``hook_dimension``, checked before any factorial.
+        """
+        _check_cells(self.n)
         total = factorial(self.n)  # once; every key is still checked
         dims = 0
         for key, m in self.entries.items():

@@ -2,13 +2,15 @@
 
 Nothing here goes through the library's recursions: partition counts come
 from the pentagonal-number recurrence, dimensions from explicit tableau
-enumeration and the Weyl product formula, and small character tables from
-counting fixed tabloids of permutation modules and peeling off irreducibles
-in dominance-compatible order.  ``mn_character`` is a second border-strip
-engine, one value per (shape, cycle type) over beta-number lists, to check
-the library's abacus row segments at sizes the brute force cannot reach.
-Centralizer orders, for the column-orthogonality check of a library table,
-come from counting the permutations of each cycle type.
+enumeration and the Weyl product formula, the closed forms' index sets from
+the paper's statements read literally (enumerate, filter, sort), and small
+character tables from counting fixed tabloids of permutation modules and
+peeling off irreducibles in dominance-compatible order.  ``mn_character``
+is a second border-strip engine, one value per (shape, cycle type) over
+beta-number lists, to check the library's abacus row segments at sizes the
+brute force cannot reach.  Centralizer orders, for the column-orthogonality
+check of a library table, come from counting the permutations of each
+cycle type.
 """
 
 import itertools
@@ -38,15 +40,52 @@ def partition_count(n):
     return total
 
 
-def partitions_of(n, largest=None):
-    """All partitions of n as tuples, by largest-part recursion."""
+def partitions_of(n, largest=None, parts=None):
+    """All partitions of n as tuples, by largest-part recursion, largest first.
+
+    With ``parts``, only those with at most that many parts.
+    """
     if largest is None:
         largest = n
+    if parts is None:
+        parts = n
     if n == 0:
         return [()]
+    if parts == 0:
+        return []
     out = []
-    for head in range(min(largest, n), 0, -1):
-        out.extend((head,) + tail for tail in partitions_of(n - head, head))
+    # The head is at least n / parts, or the other parts cannot hold the rest.
+    for head in range(min(largest, n), (n - 1) // parts, -1):
+        out.extend((head,) + tail for tail in partitions_of(n - head, head, parts - 1))
+    return out
+
+
+def theorem1_statement(n):
+    """Theorem 1's constituents of (n,n) (x) (n,n), sorted decreasingly.
+
+    The even ones are 2*mu over mu of n with at most 4 parts, the all-odd
+    ones 2*mu + (1,1,1,1) over mu of n - 2 with at most 4 parts.
+    """
+    even = [tuple(2 * part for part in mu) for mu in partitions_of(n, parts=4)]
+    odd = [
+        tuple(2 * part + 1 for part in (mu + (0, 0, 0, 0))[:4])
+        for mu in (partitions_of(n - 2, parts=4) if n >= 2 else ())
+    ]
+    return sorted(even + odd, reverse=True)
+
+
+def theorem2_statement(n):
+    """Theorem 2's constituents of (2n,2n) (x)_3 (n,n,n,n), in decreasing order.
+
+    The doubles 2*lam over lam of 2n with at most 3 parts and
+    lam_2 + lam_3 - lam_1 nonnegative and even.
+    """
+    out = []
+    for lam in partitions_of(2 * n, parts=3):
+        l1, l2, l3 = (lam + (0, 0, 0))[:3]
+        combo = l2 + l3 - l1
+        if combo >= 0 and combo % 2 == 0:
+            out.append(tuple(2 * part for part in lam))
     return out
 
 

@@ -280,9 +280,10 @@ CONTRACT = [
     (["tensor", "2,1", "2,2", "--mode", "closed"], 2, None, "unequal sizes"),
     (["tensor", "2,2", "2,2", "--mode", "nope"], 2, None, "invalid choice"),
     (["tensor", ",".join(["1"] * 60), ",".join(["1"] * 60)], 2, None, "cap"),
-    # Past the closed-form width bound, both modes exit before any generation.
+    # Past the closed-form width bound, --mode closed exits before any
+    # generation; --mode both meets the oracle's cap first.
     (["tensor", "271,271", "271,271", "--mode", "closed"], 2, None, "closed-form bound of 270"),
-    (["tensor", "271,271", "271,271", "--mode", "both"], 2, None, "closed-form bound of 270"),
+    (["tensor", "271,271", "271,271", "--mode", "both"], 2, None, "cap"),
     (["tensor", "542,542", "271,271,271,271", "--max-length", "3", "--mode", "closed"], 2, None,
      "closed-form bound of 270"),
     (["verify", "--theorem", "2", "--n-max", "2"], 0, "lines", None),
@@ -346,6 +347,23 @@ def test_mismatch_exits_1(capsys, monkeypatch):
     assert record["diff"]["oracle_only"]
     assert main(["verify", "--theorem", "1", "--n-max", "1"]) == 1
     assert capsys.readouterr().out == "theorem=1 n=1 FAIL\n"
+
+
+def test_both_mode_meets_the_cap_before_the_closed_form(capsys, monkeypatch):
+    # Past the oracle's cap, --mode both exits 2 without building the closed
+    # form, covered or not.
+    def no_closed_form(*args):
+        raise AssertionError("closed form built past the cap")
+
+    monkeypatch.setattr(snkron.cli, "closed_form", no_closed_form)
+    for argv in (
+        ["tensor", "270,270", "270,270", "--mode", "both"],
+        ["tensor", "26,26", "13,13,13,13", "--max-length", "3", "--mode", "both"],
+        ["tensor", "14,13", "27", "--mode", "both"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "exceed the cap" in err, argv
 
 
 # Every option string of the CLI, global (None) and per command.

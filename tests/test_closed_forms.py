@@ -6,6 +6,8 @@ from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import enumerate_partitions
 from snkron.weights import membership_t1
 
+from oracles import partitions_of, theorem1_statement, theorem2_statement
+
 
 def test_theorem1_decomposition_small_cases():
     assert theorem1_decomposition(0).entries == {(): 1}
@@ -39,6 +41,25 @@ def test_theorem1_matches_filter_definition():
     for n in range(41):
         want = [nu for nu in enumerate_partitions(2 * n, 4) if membership_t1(nu) is not None]
         assert list(theorem1_decomposition(n).entries) == want
+
+
+def test_generators_equal_the_literal_statements():
+    # Same entries, all of multiplicity one, in the same order, as the
+    # paper's index sets enumerated, filtered and sorted.
+    cases = [(theorem1_decomposition, theorem1_statement, 2, n) for n in range(61)]
+    cases += [(theorem2_decomposition, theorem2_statement, 4, n) for n in [*range(61), 270]]
+    for generate, statement, scale, n in cases:
+        dec = generate(n)
+        assert dec.n == scale * n
+        assert list(dec.entries.items()) == [(nu, 1) for nu in statement(n)], (generate, n)
+
+
+def test_theorem2_parity_clause_is_implied():
+    # lam_2 + lam_3 - lam_1 = 2n - 2*lam_1, so only its sign is a condition.
+    for n in range(61):
+        for lam in partitions_of(2 * n, parts=3):
+            l1, l2, l3 = (lam + (0, 0, 0))[:3]
+            assert (l2 + l3 - l1) % 2 == 0, lam
 
 
 def test_decomposition_entries_iterate_in_decreasing_order():
@@ -125,11 +146,16 @@ def test_closed_form_rejects_bad_input():
 
 def test_closed_forms_share_one_width_bound(monkeypatch):
     # Both theorems, and closed_form through them, admit width 270 and
-    # reject width 271 before any partition is generated.
+    # reject width 271 before any partition is generated: the generators'
+    # loops are the module's only calls of range.
     assert len(theorem1_decomposition(270).entries) == 285_706
     assert theorem2_decomposition(270).n == 1080
     assert closed_form((540, 540), (270,) * 4, 3) == theorem2_decomposition(270)
-    monkeypatch.setattr(closed_forms, "enumerate_partitions", None)
+
+    def no_loops(*args):
+        raise AssertionError("generated past the bound")
+
+    monkeypatch.setattr(closed_forms, "range", no_loops, raising=False)
     for call in (
         lambda: theorem1_decomposition(271),
         lambda: theorem2_decomposition(271),

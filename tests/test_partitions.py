@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from snkron import partitions
 from snkron.partitions import (
+    Decomposition,
     check_partition,
     conjugate,
     enumerate_partitions,
@@ -140,6 +141,21 @@ def test_dimensions_share_one_cell_bound():
     ):
         with pytest.raises(ValueError, match="40001 cells exceed the dimension bound of 40000"):
             call()
+
+
+def test_dimension_sum_shares_the_cell_bound(monkeypatch):
+    # A decomposition of 40 000 cells is summed; one of 40 001 is rejected
+    # before any factorial, whatever its entries.
+    dec = Decomposition(40_000, {(40_000,): 1, (39_999, 1): 2})
+    assert dec.dimension_sum() == 1 + 2 * 39_999
+
+    def no_factorial(n):
+        raise AssertionError("factorial past the bound")
+
+    monkeypatch.setattr(partitions, "factorial", no_factorial)
+    for entries in ({}, {(1,) * 40_001: 1, (40_000, 1): 2}):
+        with pytest.raises(ValueError, match="40001 cells exceed the dimension bound of 40000"):
+            Decomposition(40_001, entries).dimension_sum()
 
 
 def test_schur_dimension_bounds_numerator_bits(monkeypatch):
