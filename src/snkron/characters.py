@@ -20,27 +20,41 @@ row per shape (the mask fixes the size) for the largest bound b asked so far;
 its length p(size, parts <= b) names b.  A smaller bound reads a suffix, a
 larger one prepends segments, and ``character_row`` reads ``_char(beads(lam), n, n)``.
 
-The unit of work is a row: ``character_row(lam)`` is the character of
-``lam`` on every class of the symmetric group on |lam| letters.  The
-Kronecker coefficient oracle reads only the rows its query needs, and
-``character_table(n)`` returns all p(n) rows as a ``CharacterTable`` named
-tuple, each read through ``character_row``.
+A decomposition needs one number per candidate, the weighted class sum
+sum_rho w_rho chi_nu(rho), not its row.  ``_class_sums(n, weights)`` splits
+that sum by first cycle r as ``_char`` splits a row: the signed sum, over
+the r-strips of nu, of D(sigma), segment r of the weights against the
+bounded sub-row ``_char(sigma, n - r, r)``.  Zero segments and classes are
+skipped, each D(sigma) is formed once per call and shared by every
+candidate one strip above sigma, and no row of a candidate is built or
+stored.  ``_char`` and ``_class_sums`` walk the strips through one
+generator, ``_strips``.
+
+The unit of work that callers see is a row: ``character_row(lam)`` is the
+character of ``lam`` on every class of the symmetric group on |lam|
+letters.  The Kronecker coefficient oracle reads only the rows its query
+needs (``kronecker`` three, a decomposition those of lam and mu and the
+sub-rows behind its class sums), and ``character_table(n)`` returns all
+p(n) rows as a ``CharacterTable`` named tuple, each read through
+``character_row``.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
 Concurrency: every function here is pure, and its memos (``_rows`` and the
 caches of ``_widths`` and ``class_sizes``) change only by atomic stores of
-correct values.  A racing writer may store a shorter row of a shape than the
+correct values; the shared sums of ``_class_sums`` live in a dict of its
+own call.  A racing writer may store a shorter row of a shape than the
 one it replaces: that costs recomputation, never a wrong value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import factorial
-from operator import add, neg, sub
-from typing import NamedTuple
+from operator import add, mul, neg, sub
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .partitions import Partition, check_partition, enumerate_partitions
 
@@ -87,9 +101,23 @@ def _widths(m: int) -> tuple[int, ...]:
 _rows: dict[int, tuple[int, ...]] = {}  # mask -> row; its length names its bound
 
 
+def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
+    # Every r-strip of the shape: the shape left by moving a bead from b + r
+    # down to an empty b, with its zero rows dropped, and the parity of the
+    # beads passed over, which is the strip's sign.
+    passed = (1 << (r - 1)) - 1
+    movable = (mask & ~(mask << r)) >> r
+    while movable:
+        b = movable.bit_length() - 1
+        movable ^= 1 << b
+        moved = mask ^ (1 << b) ^ (1 << (b + r))
+        moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
+        yield moved, (mask >> (b + 1) & passed).bit_count() & 1
+
+
 def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
     # One segment per first cycle r (see the module docstring): the signed
-    # sum of the sub-rows left by moving a bead from b down to an empty b - r.
+    # sum of the sub-rows of the shapes one r-strip down.
     if not size:
         return (1,)
     bound = min(size, bound)
@@ -102,15 +130,9 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
         rest = size - r
         width = _widths(rest)[min(r, rest)]
         segment = None
-        movable = mask & ~(mask << r) & ~((1 << r) - 1)
-        while movable:
-            b = movable.bit_length() - 1
-            movable ^= 1 << b
-            moved = mask ^ (1 << b) ^ (1 << (b - r))
-            moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
+        for moved, odd in _strips(mask, r):
             hit = _rows.get(moved, ())
             part = hit[-width:] if len(hit) >= width else _char(moved, rest, r)
-            odd = ((mask >> (b - r + 1)) & ((1 << (r - 1)) - 1)).bit_count() & 1
             # Lazy maps: row.extend below sums every strip's part in one pass.
             if segment is None:
                 segment = map(neg, part) if odd else part
@@ -120,6 +142,38 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
         row.extend([0] * width if segment is None else segment)
     _rows[mask] = full = tuple(row) + tail
     return full
+
+
+def _class_sums(n: int, weights: Sequence[int]) -> Callable[[Partition], int]:
+    # nu -> sum_rho weights[rho] * chi_nu(rho) over the classes of S_n, one
+    # strip down (see the module docstring).  ``shared`` maps the mask of
+    # sigma, which fixes its size n - r and so r, to D(sigma).
+    if not n:
+        return lambda nu: weights[0]
+    segments = []
+    start = 0
+    for r in range(n, 0, -1):
+        rest = n - r
+        stop = start + _widths(rest)[min(r, rest)]
+        segment = weights[start:stop]
+        start = stop
+        if any(segment):
+            segments.append((r, rest, segment, [w for w in segment if w]))
+    shared: dict[int, int] = {}
+
+    def class_sum(nu: Partition) -> int:
+        mask = _beads(nu)
+        total = 0
+        for r, rest, segment, nonzero in segments:
+            for moved, odd in _strips(mask, r):
+                d = shared.get(moved)
+                if d is None:
+                    part = _char(moved, rest, r)
+                    shared[moved] = d = sum(map(mul, nonzero, compress(part, segment)))
+                total += -d if odd else d
+        return total
+
+    return class_sum
 
 
 def _check_size(n: int) -> None:

@@ -35,15 +35,16 @@ __all__ = [
 def check_partition(parts: Iterable[int]) -> Partition:
     """Canonicalize ``parts`` into a partition tuple.
 
-    Accepts any iterable of weakly decreasing nonnegative integers and trims
-    trailing zeros.  Raises ValueError for anything else.
+    Accepts any iterable of weakly decreasing nonnegative ints and trims
+    trailing zeros.  Raises ValueError for anything else, bools included, so
+    that ``format_partition`` and ``parse_partition`` stay inverse.
     """
     p = tuple(parts)
     # One pass: a bad part anywhere is reported before any disorder.
     ordered = True
     prev = p[0] if p else 0
     for x in p:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError(f"invalid partition part {x!r} in {p!r}")
         if x > prev:
             ordered = False

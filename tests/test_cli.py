@@ -410,3 +410,39 @@ def test_closed_reader_exits_2(unbuffered):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
+
+
+# The child forks before it measures: a process keeps the peak of the one
+# that spawned it (here the test runner) as its own starting ru_maxrss, and
+# a forked one starts from its own size.
+PEAK_GROWTH = r"""
+import io, os, resource
+from contextlib import redirect_stdout
+from snkron.cli import main
+
+def peak_kib(*argv):
+    with redirect_stdout(io.StringIO()):
+        assert main(["--no-timing", *argv]) == 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+read, write = os.pipe()
+if not os.fork():
+    base = peak_kib("dim", "1")
+    os.write(write, b"%d" % (peak_kib("tensor", "12,12", "12,12") - base))
+    os._exit(0)
+os.close(write)
+print(os.read(read, 32).decode())
+assert os.wait()[1] == 0
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and fork exists on Linux")
+def test_decomposition_memory_growth_in_a_subprocess():
+    # A cold S_24 square grows the peak of a process by about 1.8 MB over a
+    # trivial command when candidates' rows are not kept, and by about
+    # 5.4 MB when every candidate's full row is stored.
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_GROWTH], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 3 * 1024

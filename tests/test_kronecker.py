@@ -1,5 +1,4 @@
 import random
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import permutations
 from math import factorial
@@ -7,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from snkron import characters
 from snkron.characters import DEFAULT_CAP, character_row, character_table, class_sizes
 from snkron.kronecker import Decomposition, kronecker, tensor_decompose
 from snkron.partitions import conjugate, enumerate_partitions, hook_dimension
@@ -209,21 +209,37 @@ def test_decompositions_same_cold_and_after_table(cold_memo):
         assert dec.entries == _unpruned_entries(lam, mu, bound), (lam, mu, bound)
 
 
-def test_class_sum_guard_fires_on_a_wrong_row(monkeypatch):
-    # Plant one wrong value on the identity class, which every support holds.
-    # (2,1) weighs the classes (3), (2,1), (1,1,1) by (2, 0, 4): against the
-    # planted rows the sums are 2 + 4*2 = 10, no multiple of 3!, and
-    # 2 - 4*2 = -6, a negative multiple.  The submodule is reached through
-    # sys.modules because the function of the same name shadows it.
-    module = sys.modules["snkron.kronecker"]
-    planted = {(3,): (1, 1, 2), (1, 1, 1): (1, -1, -2)}
-    true_row = module.character_row
-    monkeypatch.setattr(module, "character_row", lambda lam: planted.get(lam) or true_row(lam))
-    for nu in planted:
-        with pytest.raises(RuntimeError, match="not a nonnegative multiple"):
-            kronecker((2, 1), (2, 1), nu)
-    with pytest.raises(RuntimeError, match="not a nonnegative multiple"):
-        tensor_decompose((2, 1), (2, 1))
+def test_class_sum_guard_fires_on_a_wrong_row(cold_memo):
+    # Plant one wrong value in the memo: the row of a shape of S_2 on its one
+    # class with cycles <= 1, (1,1), which is the shape's dimension, 1.  The
+    # row of (2,1) is read first, so the weights stay true: (2,1) weighs the
+    # classes (3), (2,1), (1,1,1) by (2, 0, 4).  A planted 2 for (2) makes
+    # the sum of (3) 2 + 4*2 = 10, no multiple of 3!.  A planted -2 for (1,1)
+    # makes the sum of (1,1,1) 2 + 4*(-2) = -6, a negative multiple, and in
+    # the decomposition, which sums one strip down, so is that of (2,1),
+    # -2 + 4*(1 - 2) = -6.
+    for sigma, value, nu, total in [((2,), 2, (3,), 10), ((1, 1), -2, (1, 1, 1), -6)]:
+        cold_memo()
+        character_row((2, 1))
+        characters._rows[characters._beads(sigma)] = (value,)
+        for call in (lambda: kronecker((2, 1), (2, 1), nu), lambda: tensor_decompose((2, 1), (2, 1))):
+            with pytest.raises(RuntimeError, match=f"class sum {total} is not a nonnegative multiple"):
+                call()
+
+
+def _size(mask):
+    # |lam| from its abacus: the bead positions less the staircase under them.
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    return sum(beads) - len(beads) * (len(beads) - 1) // 2
+
+
+def test_decomposition_keeps_no_candidate_row(cold_memo):
+    # A cold decomposition stores the rows of lam and mu and the bounded
+    # sub-rows of the shapes one strip below the candidates, never the row of
+    # a candidate nu; reading each candidate's row would store all 34 of S_12.
+    tensor_decompose((6, 6), (6, 6))
+    assert [_size(mask) for mask in characters._rows].count(12) == 1
+    assert characters._rows[characters._beads((6, 6))] == character_row((6, 6))
 
 
 def test_concurrent_kronecker_on_cold_memo(cold_memo):

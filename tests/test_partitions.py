@@ -31,6 +31,8 @@ REJECTED = {
     (2, "x"): "invalid partition part 'x' in (2, 'x')",
     # An invalid part is reported even after an order violation.
     (3, 4, -1): "invalid partition part -1 in (3, 4, -1)",
+    # A bool is an int, but format_partition would write "True".
+    (True,): "invalid partition part True in (True,)",
 }
 
 
