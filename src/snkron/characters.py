@@ -24,11 +24,10 @@ A decomposition needs one number per candidate, the weighted class sum
 sum_rho w_rho chi_nu(rho), not its row.  ``_class_sums(n, weights)`` splits
 that sum by first cycle r as ``_char`` splits a row: the signed sum, over
 the r-strips of nu, of D(sigma), segment r of the weights against the
-bounded sub-row ``_char(sigma, n - r, r)``.  Zero segments and classes are
-skipped, each D(sigma) is formed once per call and shared by every
-candidate one strip above sigma, and no row of a candidate is built or
-stored.  ``_char`` and ``_class_sums`` walk the strips through one
-generator, ``_strips``.
+bounded sub-row ``_char(sigma, n - r, r)``.  Zero segments are skipped,
+each D(sigma) is formed once per call and shared by every candidate one
+strip above sigma, and no row of a candidate is built or stored.  ``_char``
+and ``_class_sums`` walk the strips through one generator, ``_strips``.
 
 The unit of work that callers see is a row: ``character_row(lam)`` is the
 character of ``lam`` on every class of the symmetric group on |lam|
@@ -51,7 +50,6 @@ one it replaces: that costs recomputation, never a wrong value.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from math import factorial
 from operator import add, mul, neg, sub
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -158,18 +156,17 @@ def _class_sums(n: int, weights: Sequence[int]) -> Callable[[Partition], int]:
         segment = weights[start:stop]
         start = stop
         if any(segment):
-            segments.append((r, rest, segment, [w for w in segment if w]))
+            segments.append((r, rest, segment))
     shared: dict[int, int] = {}
 
     def class_sum(nu: Partition) -> int:
         mask = _beads(nu)
         total = 0
-        for r, rest, segment, nonzero in segments:
+        for r, rest, segment in segments:
             for moved, odd in _strips(mask, r):
                 d = shared.get(moved)
                 if d is None:
-                    part = _char(moved, rest, r)
-                    shared[moved] = d = sum(map(mul, nonzero, compress(part, segment)))
+                    shared[moved] = d = sum(map(mul, segment, _char(moved, rest, r)))
                 total += -d if odd else d
         return total
 

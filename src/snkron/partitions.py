@@ -97,26 +97,21 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
     limit = n if max_length is None else max_length
     if limit < 0:
         raise ValueError(f"length bound must be nonnegative, got {limit}")
+    if not n:
+        return ((),)
+    if not limit:
+        return ()
     out: list[Partition] = []
 
     def extend(prefix: Partition, slots: int, remaining: int, max_part: int) -> None:
         # At most ``slots`` parts to go, the next in ((remaining - 1) // slots, top];
-        # the last one or two parts are emitted directly, largest first.
-        slots = slots if slots < remaining else remaining
+        # a part that ends the partition is emitted without recursing.
         top = max_part if max_part < remaining else remaining
-        if slots > 2:
-            for part in range(top, (remaining - 1) // slots, -1):
-                extend(prefix + (part,), slots - 1, remaining - part, part)
-        elif slots == 2:
-            if top == remaining:
-                out.append(prefix + (top,))
-                top -= 1
-            for part in range(top, (remaining - 1) // 2, -1):
-                out.append(prefix + (part, remaining - part))
-        elif remaining == 0:
-            out.append(prefix)
-        elif slots == 1 and top == remaining:
+        if top == remaining:
             out.append(prefix + (top,))
+            top -= 1
+        for part in range(top, (remaining - 1) // slots, -1):
+            extend(prefix + (part,), slots - 1, remaining - part, part)
 
     extend((), limit, n, n)
     return tuple(out)

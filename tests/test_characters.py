@@ -162,6 +162,24 @@ def test_class_sizes_match_centralizers():
         )
 
 
+def test_class_order_the_engine_slices_by():
+    # A bounded row is a suffix: the last _widths(m)[b] classes are those
+    # with every cycle <= b.  A row is built in segments: walking r from m
+    # down to 1, consecutive blocks of the classes with first cycle r.
+    for m in range(1, DEFAULT_CAP + 1):
+        classes = classes_of(m)
+        widths = characters._widths(m)
+        for b in range(m + 1):
+            suffix = classes[len(classes) - widths[b]:]
+            assert suffix == tuple(rho for rho in classes if rho[0] <= b), (m, b)
+        start = 0
+        for r in range(m, 0, -1):
+            stop = start + characters._widths(m - r)[min(r, m - r)]
+            assert all(rho[0] == r for rho in classes[start:stop]), (m, r)
+            start = stop
+        assert start == len(classes), m
+
+
 def test_row_memo_matches_table(cold_memo):
     # Rows read one by one on a cold memo, shortest shapes last, must equal
     # the rows of a table assembled on another cold memo.

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -336,6 +337,39 @@ def test_cli_contract_table(capsys):
             assert (keys[-1] == "time_ms") == ("time_ms" in record) == timed, argv
         else:
             assert out and all(line for line in out.splitlines()), argv
+
+
+# README's "Command line" section, from its heading to the next one.
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+with open(README, encoding="utf-8") as f:
+    COMMAND_LINE = f.read().split("\n## Command line\n")[1].split("\n## ")[0]
+# (command, argv) for every example in the section's command table.
+EXAMPLES = [
+    (row.split("`")[1], example.split()[1:])
+    for row in COMMAND_LINE.splitlines() if row.startswith("| `")
+    for example in re.findall(r"`(snkron [^`]*)`", row)
+]
+
+
+@pytest.mark.parametrize("command, argv", EXAMPLES, ids=[" ".join(a) for _, a in EXAMPLES])
+def test_readme_command_examples(capsys, command, argv):
+    assert argv[0] == command
+    assert main(["--no-timing", *argv]) == 0
+    out = capsys.readouterr().out
+    if command == "verify":
+        theorem, n_max = argv[argv.index("--theorem") + 1], int(argv[argv.index("--n-max") + 1])
+        assert out.splitlines() == [f"theorem={theorem} n={n} pass" for n in range(1, n_max + 1)]
+    else:
+        assert json.loads(out)["command"] == command
+
+
+def test_readme_json_example(capsys):
+    # Seven examples, so a misread table cannot pass as an empty one.
+    assert len(EXAMPLES) == 7
+    example = json.loads(re.search(r"```json\n(.*?)```", COMMAND_LINE, re.S).group(1))
+    assert example.pop("time_ms") == 0
+    assert main(["--no-timing", "kron", "2,2", "2,2", "1,1,1,1"]) == 0
+    assert json.loads(capsys.readouterr().out) == example
 
 
 def test_mismatch_exits_1(capsys, monkeypatch):

@@ -92,7 +92,8 @@ def test_enumeration_counts_and_order():
 
 def test_enumeration_with_length_bound():
     # Every bound from 0 to past n, against the independent generator: the
-    # enumeration emits its last one or two parts without recursing.
+    # enumeration emits a part that ends the partition without recursing,
+    # and returns n = 0 and a bound of 0 up front.
     assert enumerate_partitions(0, 0) == ((),)
     assert enumerate_partitions(3, 0) == ()
     for n in (0, 3):
