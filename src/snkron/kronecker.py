@@ -26,7 +26,7 @@ from operator import mul
 
 from .characters import _class_sums, character_row, class_sizes
 from .partitions import (
-    Decomposition, Partition, _pair, _same_size, conjugate, enumerate_partitions,
+    Decomposition, Partition, _pair, _partitions, _same_size, conjugate,
 )
 
 __all__ = [
@@ -66,7 +66,7 @@ def tensor_decompose(
     kept.  A constituent nu has at most |lam & mu'| parts and a first part
     of at most |lam & mu|, where |a & b| = sum_i min(a_i, b_i) and mu' is
     the conjugate (Dvir, J. Algebra 1993; both bounds are attained), so
-    candidates past any bound are skipped before any character work.  The
+    only candidates within both bounds are enumerated.  The
     weights |class(rho)| * chi_lam(rho) * chi_mu(rho) are formed once; each
     other candidate's class sum against them is a signed sum of the sums
     one border strip down, which candidates share, so no candidate row is
@@ -81,9 +81,7 @@ def tensor_decompose(
         bound = min(bound, max_length)
     width = sum(map(min, lam, mu))
     entries: dict[Partition, int] = {}
-    for nu in enumerate_partitions(n, bound):
-        if nu and nu[0] > width:
-            continue
+    for nu in _partitions(n, bound, width):
         mult = _multiplicity(n, class_sum(nu))
         if mult:
             entries[nu] = mult

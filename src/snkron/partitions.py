@@ -6,6 +6,13 @@ stored without trailing zeros so that tuple equality is canonical equality.
 All arithmetic is exact (Python integers, no floating point anywhere).  The
 module holds no state: every function is pure, so concurrency needs no lock.
 
+A dimension is n! over the hook product, which ``_hook_product`` forms
+from runs of equal-height columns.  ``Decomposition.dimension_sum`` uses it
+for a lone key and for a group of keys of one length k with fewer than
+k(k-1)/2 members; a bigger group is summed column-wise by Frobenius's
+formula n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = nu_i + k - 1 - i,
+over one table of factorials shared by the whole sum.
+
 The ``Decomposition`` record and the routes' input checks live here, so each
 route reads them without loading the other.  ``_same_size`` checks any number
 of partitions and returns them with their common size; ``_pair`` adds the
@@ -14,7 +21,9 @@ length bound for ``kronecker.tensor_decompose`` and ``closed_forms.closed_form``
 
 from __future__ import annotations
 
+from itertools import combinations, repeat
 from math import factorial, perm, prod
+from operator import add, floordiv, mul, sub
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -97,9 +106,15 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
     limit = n if max_length is None else max_length
     if limit < 0:
         raise ValueError(f"length bound must be nonnegative, got {limit}")
+    return _partitions(n, limit, n)
+
+
+def _partitions(n: int, max_length: int, max_part: int) -> tuple[Partition, ...]:
+    # Partitions of n with at most max_length parts, each at most max_part, in
+    # enumerate_partitions order; all three are nonnegative.
     if not n:
         return ((),)
-    if not limit:
+    if not max_length:
         return ()
     out: list[Partition] = []
 
@@ -113,7 +128,7 @@ def enumerate_partitions(n: int, max_length: int | None = None) -> tuple[Partiti
         for part in range(top, (remaining - 1) // slots, -1):
             extend(prefix + (part,), slots - 1, remaining - part, part)
 
-    extend((), limit, n, n)
+    extend((), max_length, n, max_part)
     return tuple(out)
 
 
@@ -200,16 +215,44 @@ class Decomposition(NamedTuple):
     def dimension_sum(self) -> int:
         """Sum of multiplicity * dimension; ValueError unless each key is a partition of n.
 
-        Shares the 40 000-cell bound of ``hook_dimension``, checked before any factorial.
+        Shares the 40 000-cell bound of ``hook_dimension``, checked before any
+        factorial.  The keys are grouped by length k.  A group of at least two
+        keys, and at least k(k-1)/2 of them, is summed column-wise by
+        Frobenius's formula f = n! * prod_{i<j} (l_i - l_j) / prod_i l_i!
+        with beta-numbers l_i = nu_i + k - 1 - i, one pass over the group per
+        row and per pair of rows, reading one table of the factorials of
+        every distinct l in the sum.  Any other group, a lone key or a few
+        long keys, divides n! by each key's ``_hook_product``.
         """
         _check_cells(self.n)
         total = factorial(self.n)  # once; every key is still checked
-        dims = 0
+        groups: dict[int, tuple[list[Partition], list[int]]] = {}
         for key, m in self.entries.items():
             nu = check_partition(key)
             if sum(nu) != self.n:
                 raise ValueError(f"{key!r} is not a partition of {self.n}")
-            dims += m * (total // _hook_product(nu))
+            keys, mults = groups.setdefault(len(nu), ([], []))
+            keys.append(nu)
+            mults.append(m)
+        dims = 0
+        shared = []
+        for k, (keys, mults) in groups.items():
+            if len(keys) > 1 and k * (k - 1) // 2 <= len(keys):
+                # Column i holds l_i of every key in the group.
+                betas = [tuple(map(add, col, repeat(k - 1 - i))) for i, col in enumerate(zip(*keys))]
+                shared.append((betas, mults))
+            else:
+                dims += sum(map(mul, mults, map(total.__floordiv__, map(_hook_product, keys))))
+        distinct = set().union(*(col for betas, _ in shared for col in betas))
+        fact = dict(zip(distinct, map(factorial, distinct))).__getitem__
+        for betas, mults in shared:
+            num = mults
+            for a, b in combinations(betas, 2):
+                num = map(mul, num, map(sub, a, b))
+            den = map(fact, betas[0])
+            for col in betas[1:]:
+                den = map(mul, den, map(fact, col))
+            dims += sum(map(floordiv, map(total.__mul__, num), den))
         return dims
 
 

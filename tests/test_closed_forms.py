@@ -3,7 +3,7 @@ import pytest
 from snkron import closed_forms
 from snkron.closed_forms import closed_form, theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import kronecker, tensor_decompose
-from snkron.partitions import enumerate_partitions
+from snkron.partitions import enumerate_partitions, hook_dimension
 from snkron.weights import membership_t1
 
 from oracles import partitions_of, theorem1_statement, theorem2_statement
@@ -184,3 +184,12 @@ def test_closed_form_covers_exactly_the_two_families():
                 for bound in (None, 1, 2, 3, 4, 5):
                     got = closed_form(lam, mu, bound) is not None
                     assert got == _covered(lam, mu, bound), (lam, mu, bound)
+
+
+def test_dimension_sums_of_both_theorems():
+    # The closed round's sums, most of them column-wise, against one hook
+    # dimension per constituent.
+    for n in range(41):
+        for dec in (theorem1_decomposition(n), theorem2_decomposition(n)):
+            want = sum(m * hook_dimension(nu) for nu, m in dec.entries.items())
+            assert dec.dimension_sum() == want, (dec.n, n)

@@ -106,6 +106,17 @@ def test_enumeration_with_length_bound():
             assert enumerate_partitions(n, bound) == want, (n, bound)
 
 
+def test_first_part_bound_filters_the_enumeration():
+    # The first-part bound that tensor_decompose passes: the partitions come
+    # out as enumerate_partitions' filtered output, in the same order.
+    for n in range(19):
+        for length in range(n + 2):
+            every = enumerate_partitions(n, length)
+            for part in range(n + 2):
+                want = tuple(nu for nu in every if not nu or nu[0] <= part)
+                assert partitions._partitions(n, length, part) == want, (n, length, part)
+
+
 def test_hook_dimension_examples():
     for n in range(1, 8):
         assert hook_dimension((n,)) == 1
@@ -159,6 +170,27 @@ def test_dimension_sum_shares_the_cell_bound(monkeypatch):
     for entries in ({}, {(1,) * 40_001: 1, (40_000, 1): 2}):
         with pytest.raises(ValueError, match="40001 cells exceed the dimension bound of 40000"):
             Decomposition(40_001, entries).dimension_sum()
+
+
+def hook_sum(entries):
+    return sum(m * hook_dimension(nu) for nu, m in entries.items())
+
+
+def test_dimension_sum_shared_and_per_key_forms_agree():
+    # Every partition of n <= 18 as a key: the lengths whose groups are big
+    # enough take the column-wise Frobenius form, the rest the hook product.
+    for n in range(19):
+        entries = {nu: 1 + i % 3 for i, nu in enumerate(enumerate_partitions(n))}
+        assert Decomposition(n, entries).dimension_sum() == hook_sum(entries), n
+
+
+def test_dimension_sum_at_about_4000_cells():
+    # Lone keys take the hook product; 41 two-row keys share one factorial table.
+    stair = tuple(range(89, 0, -1))  # 4 005 cells
+    for lam in ((1,) * 4000, (2000,) + (1,) * 2000, (2000, 2000), (63,) * 63, stair):
+        assert Decomposition(sum(lam), {lam: 2}).dimension_sum() == 2 * hook_dimension(lam)
+    entries = {(4000 - j, j): 1 + j % 3 for j in range(41)}
+    assert Decomposition(4000, entries).dimension_sum() == hook_sum(entries)
 
 
 def test_schur_dimension_bounds_numerator_bits(monkeypatch):
