@@ -8,10 +8,11 @@ module holds no state: every function is pure, so concurrency needs no lock.
 
 A dimension is n! over the hook product, which ``_hook_product`` forms
 from runs of equal-height columns.  ``Decomposition.dimension_sum`` uses it
-for a lone key and for a group of keys of one length k with fewer than
-k(k-1)/2 members; a bigger group is summed column-wise by Frobenius's
-formula n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = nu_i + k - 1 - i,
-over one table of factorials shared by the whole sum.
+for a lone key, for a group of keys of one length k with fewer than
+k(k-1)/2 members, and for keys of more than 8 parts; any other group is
+summed column-wise by Frobenius's formula
+n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = nu_i + k - 1 - i, over one
+table of factorials shared by the whole sum.
 
 The ``Decomposition`` record and the routes' input checks live here, so each
 route reads them without loading the other.  ``_same_size`` checks any number
@@ -152,6 +153,11 @@ def _hook_product(lam: Partition) -> int:
 _CELL_BOUND = 40_000
 # Numerator bits, at most |lam| * bit_length(d + |lam|); 40 000-cell columns, the slowest, take ~2 s.
 _BIT_BOUND = 800_000
+# Longest keys that dimension_sum sums column-wise.  Past 8 parts the k(k-1)/2
+# pair products of a key can cost more than its hook product, even in a big
+# group: 1.5x at k = 10 and 2.1-2.3x at k = 12 (n = 20), 1.2-67x at k = 64
+# (n = 100-10 000), 600-880x at k = 200 (n = 400); Python 3.11, 2 vCPUs.
+_COLUMN_ROWS = 8
 
 
 def _check_cells(n: int) -> None:
@@ -216,13 +222,14 @@ class Decomposition(NamedTuple):
         """Sum of multiplicity * dimension; ValueError unless each key is a partition of n.
 
         Shares the 40 000-cell bound of ``hook_dimension``, checked before any
-        factorial.  The keys are grouped by length k.  A group of at least two
-        keys, and at least k(k-1)/2 of them, is summed column-wise by
-        Frobenius's formula f = n! * prod_{i<j} (l_i - l_j) / prod_i l_i!
-        with beta-numbers l_i = nu_i + k - 1 - i, one pass over the group per
-        row and per pair of rows, reading one table of the factorials of
-        every distinct l in the sum.  Any other group, a lone key or a few
-        long keys, divides n! by each key's ``_hook_product``.
+        factorial.  The keys are grouped by length k.  A group with k <= 8
+        and at least two keys, and at least k(k-1)/2 of them, is summed
+        column-wise by Frobenius's formula
+        f = n! * prod_{i<j} (l_i - l_j) / prod_i l_i! with beta-numbers
+        l_i = nu_i + k - 1 - i, one pass over the group per row and per pair
+        of rows, reading one table of the factorials of every distinct l in
+        the sum.  Any other group (a lone key, fewer than k(k-1)/2 keys, or
+        keys of more than 8 parts) divides n! by each key's ``_hook_product``.
         """
         _check_cells(self.n)
         total = factorial(self.n)  # once; every key is still checked
@@ -235,23 +242,23 @@ class Decomposition(NamedTuple):
             keys.append(nu)
             mults.append(m)
         dims = 0
-        shared = []
+        fact: dict[int, int] = {}
         for k, (keys, mults) in groups.items():
-            if len(keys) > 1 and k * (k - 1) // 2 <= len(keys):
-                # Column i holds l_i of every key in the group.
-                betas = [tuple(map(add, col, repeat(k - 1 - i))) for i, col in enumerate(zip(*keys))]
-                shared.append((betas, mults))
-            else:
+            if not (1 < len(keys) and k <= _COLUMN_ROWS and k * (k - 1) // 2 <= len(keys)):
                 dims += sum(map(mul, mults, map(total.__floordiv__, map(_hook_product, keys))))
-        distinct = set().union(*(col for betas, _ in shared for col in betas))
-        fact = dict(zip(distinct, map(factorial, distinct))).__getitem__
-        for betas, mults in shared:
+                continue
+            # Column i holds l_i of every key in the group.
+            betas = [tuple(map(add, col, repeat(k - 1 - i))) for i, col in enumerate(zip(*keys))]
+            keys.clear()  # the columns replace the keys
+            new = set().union(*betas).difference(fact)
+            fact.update(zip(new, map(factorial, new)))
+            # At most 28 pair passes and 8 row passes are chained.
             num = mults
             for a, b in combinations(betas, 2):
                 num = map(mul, num, map(sub, a, b))
-            den = map(fact, betas[0])
+            den = map(fact.__getitem__, betas[0])
             for col in betas[1:]:
-                den = map(mul, den, map(fact, col))
+                den = map(mul, den, map(fact.__getitem__, col))
             dims += sum(map(floordiv, map(total.__mul__, num), den))
         return dims
 

@@ -193,6 +193,22 @@ def test_dimension_sum_at_about_4000_cells():
     assert Decomposition(4000, entries).dimension_sum() == hook_sum(entries)
 
 
+def test_dimension_sum_keeps_long_keys_on_the_hook_product(monkeypatch):
+    # 1 225 = 50 * 49 / 2 keys of 50 parts each take the hook product: at that
+    # length the column-wise form's k(k-1)/2 pair products per key cost more.
+    # 28 = 8 * 7 / 2 keys of 8 parts are summed column-wise.
+    calls = []
+    hook_product = partitions._hook_product
+    monkeypatch.setattr(partitions, "_hook_product", lambda nu: calls.append(nu) or hook_product(nu))
+    for k, count in ((50, 1225), (8, 28)):
+        rest = enumerate_partitions(30, k)[:count]
+        entries = {tuple(p + 1 for p in mu + (0,) * (k - len(mu))): 1 + i % 3 for i, mu in enumerate(rest)}
+        expected = hook_sum(entries)
+        calls.clear()
+        assert Decomposition(30 + k, entries).dimension_sum() == expected, k
+        assert len(calls) == (count if k == 50 else 0), k
+
+
 def test_schur_dimension_bounds_numerator_bits(monkeypatch):
     # |lam| * bit_length(d + |lam|) may reach 800 000 bits, which admits every
     # shape within the cell bound at d <= 2|lam| + 1, and a one-cell shape
