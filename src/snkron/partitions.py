@@ -7,12 +7,8 @@ All arithmetic is exact (Python integers, no floating point anywhere).  The
 module holds no state: every function is pure, so concurrency needs no lock.
 
 A dimension is n! over the hook product, which ``_hook_product`` forms
-from runs of equal-height columns.  ``Decomposition.dimension_sum`` uses it
-for a lone key, for a group of keys of one length k with fewer than
-k(k-1)/2 members, and for keys of more than 8 parts; any other group is
-summed column-wise by Frobenius's formula
-n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, l_i = nu_i + k - 1 - i, over one
-table of factorials shared by the whole sum.
+from runs of equal-height columns.  ``Decomposition.dimension_sum`` states
+when it sums a group of keys column-wise instead.
 
 The ``Decomposition`` record and the routes' input checks live here, so each
 route reads them without loading the other.  ``_same_size`` checks any number
@@ -222,14 +218,13 @@ class Decomposition(NamedTuple):
         """Sum of multiplicity * dimension; ValueError unless each key is a partition of n.
 
         Shares the 40 000-cell bound of ``hook_dimension``, checked before any
-        factorial.  The keys are grouped by length k.  A group with k <= 8
-        and at least two keys, and at least k(k-1)/2 of them, is summed
-        column-wise by Frobenius's formula
-        f = n! * prod_{i<j} (l_i - l_j) / prod_i l_i! with beta-numbers
-        l_i = nu_i + k - 1 - i, one pass over the group per row and per pair
-        of rows, reading one table of the factorials of every distinct l in
-        the sum.  Any other group (a lone key, fewer than k(k-1)/2 keys, or
-        keys of more than 8 parts) divides n! by each key's ``_hook_product``.
+        factorial.  The keys are grouped by length k.  A group of at least
+        two keys with k <= 8 (``_COLUMN_ROWS``) is summed column-wise by
+        Frobenius's formula f = n! * prod_{i<j} (l_i - l_j) / prod_i l_i!
+        with beta-numbers l_i = nu_i + k - 1 - i, one pass over the group per
+        row and per pair of rows, reading one table of the factorials of
+        every distinct l in the sum.  A lone key, or a group of keys of more
+        than 8 parts, divides n! by each key's ``_hook_product``.
         """
         _check_cells(self.n)
         total = factorial(self.n)  # once; every key is still checked
@@ -244,7 +239,7 @@ class Decomposition(NamedTuple):
         dims = 0
         fact: dict[int, int] = {}
         for k, (keys, mults) in groups.items():
-            if not (1 < len(keys) and k <= _COLUMN_ROWS and k * (k - 1) // 2 <= len(keys)):
+            if not (1 < len(keys) and k <= _COLUMN_ROWS):
                 dims += sum(map(mul, mults, map(total.__floordiv__, map(_hook_product, keys))))
                 continue
             # Column i holds l_i of every key in the group.

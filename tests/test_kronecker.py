@@ -170,6 +170,33 @@ def test_length_bound_holds_on_full_table_class_sums():
     assert pairs == 1818
 
 
+def test_column_removal_at_maximal_length():
+    # A tested observation, not a theorem.  With p = len(lam) and q = len(mu),
+    # the constituents of lam x mu with exactly pq parts, each less its first
+    # column, are exactly (lam - q) x (mu - p), subtracting from every row.
+    # The length bound |lam & mu'| reaches pq only when lam_p >= q and
+    # mu_q >= p; Dvir (J. Algebra 1993) studies the constituents at that bound.
+    pairs = layers = 0
+    for n in range(1, 10):
+        parts = enumerate_partitions(n)
+        for i, lam in enumerate(parts):
+            for mu in parts[i:]:
+                p, q = len(lam), len(mu)
+                layer = {
+                    tuple(x - 1 for x in nu if x > 1): m
+                    for nu, m in tensor_decompose(lam, mu).entries.items()
+                    if len(nu) == p * q
+                }
+                if lam[-1] < q or mu[-1] < p:
+                    assert layer == {}, (lam, mu)
+                else:
+                    below = tensor_decompose(tuple(x - q for x in lam), tuple(x - p for x in mu))
+                    assert layer == below.entries, (lam, mu)
+                    layers += 1
+                pairs += 1
+    assert (pairs, layers) == (957, 131)
+
+
 def _unpruned_entries(lam, mu, bound):
     # Triple class sums over every nu |- n, straight from the rows: no
     # length pruning and no weights shared between candidates.

@@ -177,8 +177,7 @@ def hook_sum(entries):
 
 
 def test_dimension_sum_shared_and_per_key_forms_agree():
-    # Every partition of n <= 18 as a key: the lengths whose groups are big
-    # enough take the column-wise Frobenius form, the rest the hook product.
+    # Every partition of n <= 18 as a key, so both of dimension_sum's paths run.
     for n in range(19):
         entries = {nu: 1 + i % 3 for i, nu in enumerate(enumerate_partitions(n))}
         assert Decomposition(n, entries).dimension_sum() == hook_sum(entries), n
@@ -194,19 +193,19 @@ def test_dimension_sum_at_about_4000_cells():
 
 
 def test_dimension_sum_keeps_long_keys_on_the_hook_product(monkeypatch):
-    # 1 225 = 50 * 49 / 2 keys of 50 parts each take the hook product: at that
-    # length the column-wise form's k(k-1)/2 pair products per key cost more.
-    # 28 = 8 * 7 / 2 keys of 8 parts are summed column-wise.
+    # Keys of more than 8 parts take the hook product however many share
+    # their length, 1 225 of 50 parts as well as two of 9.  Two or more keys
+    # of at most 8 parts are summed column-wise; a lone key is not.
     calls = []
     hook_product = partitions._hook_product
     monkeypatch.setattr(partitions, "_hook_product", lambda nu: calls.append(nu) or hook_product(nu))
-    for k, count in ((50, 1225), (8, 28)):
+    for k, count, hooks in ((50, 1225, 1225), (8, 28, 0), (8, 2, 0), (8, 1, 1), (9, 2, 2)):
         rest = enumerate_partitions(30, k)[:count]
         entries = {tuple(p + 1 for p in mu + (0,) * (k - len(mu))): 1 + i % 3 for i, mu in enumerate(rest)}
         expected = hook_sum(entries)
         calls.clear()
-        assert Decomposition(30 + k, entries).dimension_sum() == expected, k
-        assert len(calls) == (count if k == 50 else 0), k
+        assert Decomposition(30 + k, entries).dimension_sum() == expected, (k, count)
+        assert len(calls) == hooks, (k, count)
 
 
 def test_schur_dimension_bounds_numerator_bits(monkeypatch):
