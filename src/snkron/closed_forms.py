@@ -1,34 +1,17 @@
 """Closed-form tensor decompositions for two-row rectangle shapes.
 
-Two multiplicity-free decompositions, each an index set that nested
-``range`` loops emit directly, largest part first, so the entries come out
-in decreasing lexicographic order: nothing is enumerated, filtered, sorted
-or merged, and a decomposition costs only the constituents it returns.
-
-* theorem 1: the square (n,n) (x) (n,n) decomposes with multiplicity one
-  exactly at the even partitions of 2n with at most 4 parts and at the
-  all-odd partitions of 2n with exactly 4 parts.  The loops emit the
-  partitions (a,b,c,d) of 2n, padded with zeros, with a = b = c (mod 2):
-  then d = 2n - a - b - c = a (mod 2) too, and an odd a forces d >= 1.
-
-* theorem 2: the sub-sum of (2n,2n) (x) (n,n,n,n) over constituents with at
-  most 3 parts consists of the doubled partitions 2*lam for lam of 2n with
-  at most 3 parts and lam_2 + lam_3 - lam_1 nonnegative and even.  That
-  number is 2n - 2*lam_1, always even, so the loops emit 2*lam over the
-  lam of 2n with at most 3 parts and lam_1 <= n.
-
+Each theorem's index set, stated in its generator's docstring, is emitted
+by nested ``range`` loops, largest part first, so the entries come out in
+decreasing lexicographic order: nothing is enumerated, filtered, sorted or
+merged, and a decomposition costs only the constituents it returns.
 ``closed_form(lam, mu, max_length)`` is the one place that decides which
-pairs of shapes, under which length bound, a theorem covers.  The weight
-semigroup of the ``weights`` module states both index sets independently;
-the test suite checks the generators against it, against the paper's
-statements read literally, and against the character-theoretic oracle.
-This route imports only ``partitions``, so it loads and runs with no
-character code at all.
+pairs of shapes, under which length bound, a theorem covers.  This route
+imports only ``partitions``, so it loads and runs with no character code.
 """
 
 from __future__ import annotations
 
-from .partitions import Decomposition, Partition, _pair, check_partition
+from .partitions import Decomposition, Partition, _length_bound, _same_size, check_partition
 
 __all__ = [
     "closed_form",
@@ -36,7 +19,7 @@ __all__ = [
     "theorem2_decomposition",
 ]
 
-# Theorem 1 at this width, the slowest admitted call, takes ~1 s on the command line
+# Theorem 1 at this width, the slowest admitted call, takes 1.2-1.4 s on the command line
 # (2 vCPUs, Python 3.11): 285 706 constituents, most of it writing their JSON.
 _WIDTH_BOUND = 270
 
@@ -52,7 +35,8 @@ def closed_form(
     ``max_length`` parts are dropped.  Raises ValueError on unequal sizes, a
     bound below 1, or a width n/2 or n/4 past 270 in a covered pair.
     """
-    lam, mu, n = _pair(lam, mu, max_length)
+    lam, mu, n = _same_size(lam, mu)
+    _length_bound(max_length)
     # Each rectangle has size n only when its width divides n evenly.
     two = check_partition((n // 2,) * 2)
     four = check_partition((n // 4,) * 4)
@@ -73,6 +57,7 @@ def theorem1_decomposition(n: int) -> Decomposition:
     (mod 2) forces d = a (mod 2), so these are the even partitions with at
     most 4 parts and the all-odd ones with exactly 4.  They are emitted in
     decreasing lexicographic order; no other partition is looked at.
+    Raises ValueError unless 0 <= n <= 270.
     """
     if not 0 <= n <= _WIDTH_BOUND:
         raise ValueError(f"rectangle width must be nonnegative, within the closed-form bound of {_WIDTH_BOUND}, got {n}")
@@ -84,13 +69,10 @@ def theorem1_decomposition(n: int) -> Decomposition:
         rest = 2 * n - a
         for b in range(min(a, rest), (rest - 1) // 3, -2):
             s = rest - b
-            if b < s:
-                top = b
-            elif a & 1:
-                top = s - 1
-            else:  # c = s and d = 0 first, zeros dropped
+            top = b if b < s else s - (a & 1)
+            if top == s:  # c = s and d = 0 first, zeros dropped
                 entries[(a, b, s) if s else (a, b)] = 1
-                top = s - 2
+                top -= 2
             for c in range(top, s // 2 - 1, -2):
                 entries[a, b, c, s - c] = 1
     return Decomposition(2 * n, entries)
@@ -103,6 +85,7 @@ def theorem2_decomposition(n: int) -> Decomposition:
     3 parts and lam_1 <= n, in decreasing lexicographic order; the paper's
     condition that lam_2 + lam_3 - lam_1 = 2n - 2*lam_1 be nonnegative and
     even says exactly lam_1 <= n.  Only lam_1 = lam_2 = n leaves a zero part.
+    Raises ValueError unless 0 <= n <= 270.
     """
     if not 0 <= n <= _WIDTH_BOUND:
         raise ValueError(f"rectangle width must be nonnegative, within the closed-form bound of {_WIDTH_BOUND}, got {n}")

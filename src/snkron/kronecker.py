@@ -2,21 +2,9 @@
 
 This is the ground-truth side of the library: a coefficient is the class
 sum (1/n!) * sum_rho |class(rho)| * chi_lam(rho) * chi_mu(rho) * chi_nu(rho),
-computed as one integer sum divided once by n!.  It reads only the character
-rows it needs and the class sizes, never a whole table.  The weights
-w_rho = |class(rho)| * chi_lam(rho) * chi_mu(rho) depend on lam and mu alone,
-so a decomposition forms them once and hands them to
-``characters._class_sums``, which sums them against each candidate nu by
-the border-strip rule one strip down, sharing those sums between
-candidates and never building the row of nu.  ``kronecker`` takes its
-one sum against the row of nu.  Exact divisibility of every such sum is
-asserted, in the one kernel that ``kronecker`` and ``tensor_decompose``
-share; a failure would mean the character engine is broken, so it raises
-instead of returning garbage.  Both check their partitions and common size
-with the one ``partitions._same_size``.
-
-The functions here are pure; per-constituent computations are independent
-and deterministic.
+computed as one integer sum divided once by n!.  ``_multiplicity`` checks
+that every such sum is a nonnegative multiple of n!; a failure would mean
+the character engine is broken, so it raises instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -26,7 +14,7 @@ from operator import mul
 
 from .characters import _class_sums, character_row, class_sizes
 from .partitions import (
-    Decomposition, Partition, _pair, _partitions, _same_size, conjugate,
+    Decomposition, Partition, _length_bound, _partitions, _same_size, conjugate,
 )
 
 __all__ = [
@@ -52,7 +40,10 @@ def _multiplicity(n: int, total: int) -> int:
 
 
 def kronecker(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Multiplicity of the irreducible ``nu`` in the tensor product lam (x) mu."""
+    """Multiplicity of the irreducible ``nu`` in the tensor product lam (x) mu.
+
+    Raises ValueError on unequal sizes or when n exceeds ``DEFAULT_CAP``.
+    """
     lam, mu, nu, n = _same_size(lam, mu, nu)
     return _multiplicity(n, sum(map(mul, _weights(n, lam, mu), character_row(nu))))
 
@@ -66,13 +57,13 @@ def tensor_decompose(
     kept.  A constituent nu has at most |lam & mu'| parts and a first part
     of at most |lam & mu|, where |a & b| = sum_i min(a_i, b_i) and mu' is
     the conjugate (Dvir, J. Algebra 1993; both bounds are attained), so
-    only candidates within both bounds are enumerated.  The
-    weights |class(rho)| * chi_lam(rho) * chi_mu(rho) are formed once; each
-    other candidate's class sum against them is a signed sum of the sums
-    one border strip down, which candidates share, so no candidate row is
-    built.  Each class sum is checked to be a nonnegative multiple of n!.
+    only candidates within both bounds are tried.  The weights
+    |class(rho)| * chi_lam(rho) * chi_mu(rho) are formed once and summed
+    against each candidate by ``characters._class_sums``.  Raises
+    ValueError on unequal sizes, a bound below 1, or n past ``DEFAULT_CAP``.
     """
-    lam, mu, n = _pair(lam, mu, max_length)
+    lam, mu, n = _same_size(lam, mu)
+    _length_bound(max_length)
     # Reading the weights first also applies the cap before the p(n)
     # candidates are enumerated.
     class_sum = _class_sums(n, _weights(n, lam, mu))

@@ -11,9 +11,7 @@ from runs of equal-height columns.  ``Decomposition.dimension_sum`` states
 when it sums a group of keys column-wise instead.
 
 The ``Decomposition`` record and the routes' input checks live here, so each
-route reads them without loading the other.  ``_same_size`` checks any number
-of partitions and returns them with their common size; ``_pair`` adds the
-length bound for ``kronecker.tensor_decompose`` and ``closed_forms.closed_form``.
+route reads them without loading the other.
 """
 
 from __future__ import annotations
@@ -227,7 +225,7 @@ class Decomposition(NamedTuple):
         than 8 parts, divides n! by each key's ``_hook_product``.
         """
         _check_cells(self.n)
-        total = factorial(self.n)  # once; every key is still checked
+        total = factorial(self.n)  # once; the loop below checks every key
         groups: dict[int, tuple[list[Partition], list[int]]] = {}
         for key, m in self.entries.items():
             nu = check_partition(key)
@@ -270,11 +268,3 @@ def _same_size(*parts: Iterable[int]) -> tuple:
 def _length_bound(max_length: int | None) -> None:
     if max_length is not None and max_length < 1:
         raise ValueError(f"length bound must be positive, got {max_length}")
-
-
-def _pair(
-    lam: Partition, mu: Partition, max_length: int | None
-) -> tuple[Partition, Partition, int]:
-    lam, mu, n = _same_size(lam, mu)
-    _length_bound(max_length)
-    return lam, mu, n

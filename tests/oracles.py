@@ -7,7 +7,7 @@ the paper's statements read literally (enumerate, filter, sort), and small
 character tables from counting fixed tabloids of permutation modules and
 peeling off irreducibles in dominance-compatible order.  ``mn_character``
 is a second border-strip engine, one value per (shape, cycle type) over
-beta-number lists, to check the library's abacus row segments at sizes the
+beta-number lists, to check the library's row segments at sizes the
 brute force cannot reach.  Centralizer orders, for the column-orthogonality
 check of a library table, come from counting the permutations of each
 cycle type.

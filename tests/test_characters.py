@@ -211,16 +211,14 @@ def _memo_size():
 
 def test_memo_stays_small_on_s24_square(cold_memo):
     # One entry per shape and no candidate's row: 1 123 entries holding
-    # 103 827 values, and the bounds allow 10 % more.  Reading every
-    # candidate's full row left 1 291 entries holding 368 555 values.
+    # 103 827 values, and the bounds allow 10 % more.
     tensor_decompose((12, 12), (12, 12))
     entries, values = _memo_size()
     assert entries <= 1_235 and values <= 114_000
 
 
 def test_memo_size_is_deterministic(cold_memo):
-    # The same cold query leaves the same memo, within bounds that one entry
-    # per (shape, largest cycle), or a stored row per candidate, exceeds.
+    # The same cold query leaves the same memo, within the bounds above.
     tensor_decompose((12, 12), (12, 12))
     first = _memo_size()
     cold_memo()

@@ -127,7 +127,7 @@ def test_decomposition_helpers():
         with pytest.raises(ValueError, match=rf"^length bound must be positive, got {bad}$"):
             dec.restrict_length(bad)
     assert dec.dimension_sum() == 1 + 2 + 1
-    # The keys are still checked now that n! is formed once per sum.
+    # n! is formed once per sum, and every key is checked all the same.
     with pytest.raises(ValueError, match="weakly decreasing"):
         Decomposition(3, {(1, 2): 1}).dimension_sum()
     with pytest.raises(ValueError, match="invalid partition part 'x'"):
@@ -176,15 +176,20 @@ def test_column_removal_at_maximal_length():
     # column, are exactly (lam - q) x (mu - p), subtracting from every row.
     # The length bound |lam & mu'| reaches pq only when lam_p >= q and
     # mu_q >= p; Dvir (J. Algebra 1993) studies the constituents at that bound.
-    pairs = layers = 0
+    # Through g(lam, mu, nu) = g(lam, mu', nu'), the constituents with first
+    # part p * mu_1, each less its first row, are (lam - mu_1) x (mu' - p)',
+    # and there are none when lam_p < mu_1 or mu'_{mu_1} < p; checked for
+    # (lam, mu) and (mu, lam) alike.
+    pairs = layers = ordered = rows = 0
     for n in range(1, 10):
         parts = enumerate_partitions(n)
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
                 p, q = len(lam), len(mu)
+                entries = tensor_decompose(lam, mu).entries
                 layer = {
                     tuple(x - 1 for x in nu if x > 1): m
-                    for nu, m in tensor_decompose(lam, mu).entries.items()
+                    for nu, m in entries.items()
                     if len(nu) == p * q
                 }
                 if lam[-1] < q or mu[-1] < p:
@@ -194,7 +199,19 @@ def test_column_removal_at_maximal_length():
                     assert layer == below.entries, (lam, mu)
                     layers += 1
                 pairs += 1
-    assert (pairs, layers) == (957, 131)
+                for a, b in {(lam, mu), (mu, lam)}:
+                    k, cols = len(a), conjugate(b)
+                    layer = {nu[1:]: m for nu, m in entries.items() if nu[0] == k * b[0]}
+                    if a[-1] < b[0] or cols[-1] < k:
+                        assert layer == {}, (a, b)
+                    else:
+                        below = tensor_decompose(
+                            tuple(x - b[0] for x in a), conjugate(tuple(x - k for x in cols))
+                        )
+                        assert layer == below.entries, (a, b)
+                        rows += 1
+                    ordered += 1
+    assert (pairs, layers, ordered, rows) == (957, 131, 1_818, 240)
 
 
 def _unpruned_entries(lam, mu, bound):
@@ -255,7 +272,7 @@ def test_class_sum_guard_fires_on_a_wrong_row(cold_memo):
 
 
 def _size(mask):
-    # |lam| from its abacus: the bead positions less the staircase under them.
+    # |lam| from its bead mask: the bead positions less the staircase under them.
     beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
     return sum(beads) - len(beads) * (len(beads) - 1) // 2
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import snkron
-from snkron.characters import CharacterTable, character_table
-from snkron.partitions import Decomposition
+from snkron.characters import DEFAULT_CAP, CharacterTable, character_table
+from snkron.closed_forms import _WIDTH_BOUND
+from snkron.partitions import _BIT_BOUND, _CELL_BOUND, Decomposition
 from snkron.weights import T2_W_GENERATORS, GeneratorCombination, SemiInvariantWeight
 from conftest import package_memos
 from test_cli import child_env
@@ -106,11 +107,15 @@ def _identifiers(node):
 def test_every_public_name_has_a_caller():
     # A public name is used by the package outside its own definition, by
     # the benchmark (as ``snkron.<name>``, or as a string for getattr), or
-    # is named in README.  The sources are parsed, never imported.
-    used = set()
+    # is named in README.  A module-level private name is used by the
+    # package alone.  The sources are parsed, never imported.
+    used, private = set(), set()
     for path in (ROOT / "src" / "snkron").glob("*.py"):
         for statement in ast.parse(path.read_text(), str(path)).body:
-            used |= _identifiers(statement) - _defines(statement)
+            defined = _defines(statement)
+            used |= _identifiers(statement) - defined
+            private |= {name for name in defined if name.startswith("_") and name[:2] != "__"}
+    assert sorted(private - used) == []
     for path in (ROOT / "perfbench").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "snkron":
@@ -133,6 +138,27 @@ def test_readme_library_examples_run():
     block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
     test = doctest.DocTestParser().get_doctest(block, {}, "README Library", "README.md", 0)
     assert doctest.DocTestRunner().run(test) == (0, 7)
+
+
+# README's limits table: the label in its first column -> the value in force.
+LIMITS = {
+    "size n of S_n, `DEFAULT_CAP`": DEFAULT_CAP,
+    "cells of a shape": _CELL_BOUND,
+    "numerator bits of `schur_dimension(lam, d)`": _BIT_BOUND,
+    "width n of the closed form's (n,n) or (n,n,n,n)": _WIDTH_BOUND,
+}
+
+
+def test_readme_limits_match_the_code():
+    section = (ROOT / "README.md").read_text().split("\n## Limits\n")[1].split("\n## ")[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("|")
+    ]
+    assert rows[0] == ["limit", "value", "calls that raise", "CLI exit code"]
+    values = {row[0]: row[1] for row in rows[2:]}
+    assert values.pop("no limit") == "none"
+    assert {label: int(value.replace(" ", "")) for label, value in values.items()} == LIMITS
 
 
 def test_cli_import_skips_the_introspection_modules():
