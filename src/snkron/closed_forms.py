@@ -24,6 +24,11 @@ __all__ = [
 _WIDTH_BOUND = 270
 
 
+def _check_width(n: int) -> None:
+    if not 0 <= n <= _WIDTH_BOUND:
+        raise ValueError(f"rectangle width must be nonnegative, within the closed-form bound of {_WIDTH_BOUND}, got {n}")
+
+
 def closed_form(
     lam: Partition, mu: Partition, max_length: int | None = None
 ) -> Decomposition | None:
@@ -59,8 +64,7 @@ def theorem1_decomposition(n: int) -> Decomposition:
     decreasing lexicographic order; no other partition is looked at.
     Raises ValueError unless 0 <= n <= 270.
     """
-    if not 0 <= n <= _WIDTH_BOUND:
-        raise ValueError(f"rectangle width must be nonnegative, within the closed-form bound of {_WIDTH_BOUND}, got {n}")
+    _check_width(n)
     entries: dict[Partition, int] = {(2 * n,) if n else (): 1}
     # (2n) is put first.  Then a >= 2n/4; b in [rest/3, min(a, rest)] and c in
     # [s/2, min(b, s)], both of a's parity, which rest = 2n - a shares, so
@@ -87,8 +91,7 @@ def theorem2_decomposition(n: int) -> Decomposition:
     even says exactly lam_1 <= n.  Only lam_1 = lam_2 = n leaves a zero part.
     Raises ValueError unless 0 <= n <= 270.
     """
-    if not 0 <= n <= _WIDTH_BOUND:
-        raise ValueError(f"rectangle width must be nonnegative, within the closed-form bound of {_WIDTH_BOUND}, got {n}")
+    _check_width(n)
     entries: dict[Partition, int] = {(2 * n, 2 * n) if n else (): 1}
     # Doubled parts: a = 2*lam_1 in [4n/3, 2n] and b = 2*lam_2 in
     # [rest/2, min(a, rest - 2)]; b = rest, a zero third part, is put first.

@@ -7,7 +7,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 import math
 
 from snkron.characters import character_table, class_sizes
-from snkron.closed_forms import theorem1_decomposition, theorem2_decomposition
+from snkron.closed_forms import closed_form, theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import kronecker, tensor_decompose
 from snkron.partitions import (
     enumerate_partitions,
@@ -27,14 +27,19 @@ def report(criterion, description, failures):
 
 def test_criterion_1_theorem1_exactness():
     failures = []
-    for n in range(1, 13):
+    for n in range(13):
         closed = theorem1_decomposition(n)
         oracle = tensor_decompose((n, n), (n, n))
         if closed != oracle:
             failures.append((n, closed.entries, oracle.entries))
         if set(oracle.entries.values()) - {1}:
             failures.append((n, "not multiplicity free"))
-    report(1, "theorem-1 closed form equals oracle for n=1..12", failures)
+        for bound in (1, 2, 3, 4):
+            if closed_form((n, n), (n, n), bound) != tensor_decompose((n, n), (n, n), bound):
+                failures.append((n, bound))
+    if kronecker((4, 4), (4, 4), (5, 1, 1, 1)) != 1 or kronecker((3, 3), (3, 3), (3, 3)) != 0:
+        failures.append("spot checks")
+    report(1, "theorem-1 closed form equals oracle for n=0..12, unbounded and under bounds 1..4", failures)
 
 
 def test_criterion_2_theorem2_exactness():
@@ -44,7 +49,13 @@ def test_criterion_2_theorem2_exactness():
         oracle = tensor_decompose((2 * n, 2 * n), (n, n, n, n), 3)
         if closed != oracle:
             failures.append((n, closed.entries, oracle.entries))
-    report(2, "theorem-2 closed form equals bounded oracle for n=1..6", failures)
+        for pair in (((2 * n, 2 * n), (n,) * 4), ((n,) * 4, (2 * n, 2 * n))):
+            for bound in (1, 2, 3):
+                if closed_form(*pair, bound) != tensor_decompose(*pair, bound):
+                    failures.append((pair, bound))
+    if kronecker((6, 6), (3, 3, 3, 3), (6, 4, 2)) != 1:
+        failures.append("spot check")
+    report(2, "theorem-2 closed form equals bounded oracle for n=1..6, bounds 1..3, both orders", failures)
 
 
 def test_criterion_3_semigroup_equivalence():
@@ -52,13 +63,13 @@ def test_criterion_3_semigroup_equivalence():
     failures = []
     for n in range(41):
         members = [lam for lam in enumerate_partitions(2 * n, 4) if membership_t1(lam) is not None]
-        if theorem1_decomposition(n).entries != dict.fromkeys(members, 1):
+        if list(theorem1_decomposition(n).entries.items()) != [(lam, 1) for lam in members]:
             failures.append(("t1", n))
     for n in range(21):
         members = [lam for lam in enumerate_partitions(4 * n, 3) if membership_t2(lam) is not None]
-        if theorem2_decomposition(n).entries != dict.fromkeys(members, 1):
+        if list(theorem2_decomposition(n).entries.items()) != [(lam, 1) for lam in members]:
             failures.append(("t2", n))
-    report(3, "semigroup membership equals theorem-1 (n<=40) and theorem-2 (n<=20) index sets", failures)
+    report(3, "semigroup membership equals theorem-1 (n<=40) and theorem-2 (n<=20) index sets, in order", failures)
 
 
 def test_criterion_4_dimension_identities():

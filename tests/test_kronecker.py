@@ -85,12 +85,6 @@ def test_bounded_is_a_filter_of_full():
                     assert tensor_decompose(lam, mu, bound) == full.restrict_length(bound)
 
 
-def test_vacuous_bound_equals_full():
-    for lam in enumerate_partitions(4):
-        for mu in enumerate_partitions(4):
-            assert tensor_decompose(lam, mu, 4) == tensor_decompose(lam, mu)
-
-
 def test_full_symmetry_in_all_arguments():
     for n in range(1, 7):
         parts = enumerate_partitions(n)

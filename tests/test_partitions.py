@@ -285,16 +285,6 @@ def test_schur_dimension_matches_weyl_formula():
                 assert schur_dimension(lam, d) == weyl_gl_dimension(lam, d)
 
 
-def test_schur_weyl_dimension_identity():
-    for d in range(1, 5):
-        for n in range(9):
-            total = sum(
-                hook_dimension(lam) * schur_dimension(lam, d)
-                for lam in enumerate_partitions(n)
-            )
-            assert total == d**n
-
-
 def test_enumeration_agrees_with_independent_generator():
     for n in range(11):
         assert sorted(enumerate_partitions(n), reverse=True) == sorted(

@@ -2,8 +2,6 @@ from itertools import zip_longest
 
 import pytest
 
-from snkron.closed_forms import theorem1_decomposition, theorem2_decomposition
-from snkron.kronecker import kronecker
 from snkron.partitions import check_partition, enumerate_partitions
 from snkron.weights import (
     T1_W_GENERATORS,
@@ -52,11 +50,6 @@ def test_degree_consistency():
         assert sum(w.u_weight) == sum(w.v_weight) == sum(w.w_weight) == w.degree
 
 
-def test_weights_have_positive_kronecker_coefficient():
-    for w in theorem1_weights() + theorem2_weights():
-        assert kronecker(w.u_weight, w.v_weight, w.w_weight) >= 1
-
-
 def _det(matrix):
     if len(matrix) == 1:
         return matrix[0][0]
@@ -94,11 +87,6 @@ def test_membership_t2_examples():
         membership_t2((2, 2, 2, 2))
 
 
-def test_membership_t2_spot_checked_against_oracle():
-    assert membership_t2((6, 4, 2)) is not None
-    assert kronecker((6, 6), (3, 3, 3, 3), (6, 4, 2)) == 1
-
-
 def _rebuild(combo):
     # The part-wise sum of coefficient * generator, trailing zeros trimmed.
     total = [0] * 4
@@ -119,22 +107,6 @@ def test_reconstruction_is_exact():
             combo = membership_t2(lam)
             if combo is not None:
                 assert _rebuild(combo) == lam
-
-
-def test_membership_t1_equals_closed_form_index_set():
-    for n in range(9):
-        entries = theorem1_decomposition(n).entries
-        for lam in enumerate_partitions(2 * n):
-            member = len(lam) <= 4 and membership_t1(lam) is not None
-            assert member == (lam in entries)
-
-
-def test_membership_t2_equals_closed_form_index_set():
-    for n in range(5):
-        entries = theorem2_decomposition(n).entries
-        for lam in enumerate_partitions(4 * n, 3):
-            member = membership_t2(lam) is not None
-            assert member == (lam in entries)
 
 
 def _members(membership, rows, max_size):
