@@ -27,7 +27,8 @@ the r-strips of nu, of D(sigma), segment r of the weights against the
 bounded sub-row ``_char(sigma, n - r, r)``.  Zero segments are skipped,
 each D(sigma) is formed once per call and shared by every candidate one
 strip above sigma, and no row of a candidate is built or stored.  ``_char``
-and ``_class_sums`` walk the strips through one generator, ``_strips``.
+and ``_class_sums`` each walk the r-strips of a mask inline, by the same
+bit loop over the beads that can move down r places.
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
@@ -44,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from operator import add, mul, neg, sub
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .partitions import Partition, check_partition, enumerate_partitions
 
@@ -100,20 +101,6 @@ def _centralizers(m: int) -> tuple[int, ...]:
 _rows: dict[int, tuple[int, ...]] = {}  # mask -> row; its length names its bound
 
 
-def _strips(mask: int, r: int) -> Iterator[tuple[int, int]]:
-    # Every r-strip of the shape: the shape left by moving a bead from b + r
-    # down to an empty b, with its zero rows dropped, and the parity of the
-    # beads passed over, which is the strip's sign.
-    passed = (1 << (r - 1)) - 1
-    movable = (mask & ~(mask << r)) >> r
-    while movable:
-        b = movable.bit_length() - 1
-        movable ^= 1 << b
-        moved = mask ^ (1 << b) ^ (1 << (b + r))
-        moved >>= (moved ^ (moved + 1)).bit_length() - 1  # drop zero rows
-        yield moved, (mask >> (b + 1) & passed).bit_count() & 1
-
-
 def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
     # One segment per first cycle r (see the module docstring): the signed
     # sum of the sub-rows of the shapes one r-strip down.
@@ -129,7 +116,16 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
         rest = size - r
         width = _widths(rest)[min(r, rest)]
         segment = None
-        for moved, odd in _strips(mask, r):
+        # Every r-strip: move a bead from b + r down to an empty b, drop the
+        # zero rows, and take the parity of the beads passed over as the sign.
+        passed = (1 << (r - 1)) - 1
+        movable = (mask & ~(mask << r)) >> r
+        while movable:
+            b = movable.bit_length() - 1
+            movable ^= 1 << b
+            moved = mask ^ (1 << b) ^ (1 << (b + r))
+            moved >>= (moved ^ (moved + 1)).bit_length() - 1
+            odd = (mask >> (b + 1) & passed).bit_count() & 1
             hit = _rows.get(moved, ())
             part = hit[-width:] if len(hit) >= width else _char(moved, rest, r)
             # Lazy maps: row.extend below sums every strip's part in one pass.
@@ -164,7 +160,15 @@ def _class_sums(n: int, weights: Sequence[int]) -> Callable[[Partition], int]:
         mask = _beads(nu)
         total = 0
         for r, rest, segment in segments:
-            for moved, odd in _strips(mask, r):
+            # The r-strips, walked as in _char.
+            passed = (1 << (r - 1)) - 1
+            movable = (mask & ~(mask << r)) >> r
+            while movable:
+                b = movable.bit_length() - 1
+                movable ^= 1 << b
+                moved = mask ^ (1 << b) ^ (1 << (b + r))
+                moved >>= (moved ^ (moved + 1)).bit_length() - 1
+                odd = (mask >> (b + 1) & passed).bit_count() & 1
                 d = shared.get(moved)
                 if d is None:
                     shared[moved] = d = sum(map(mul, segment, _char(moved, rest, r)))
