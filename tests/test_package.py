@@ -72,10 +72,9 @@ def test_routes_import_only_what_the_layering_allows():
 
 def test_only_the_character_layer_keeps_memos():
     # One row per shape that the border-strip recursion reuses, the row
-    # lengths it slices by, the centralizer orders of each size and the
-    # class sizes warm callers reuse; partitions and the routes hold no state.
+    # lengths it slices by, and the class sizes warm callers reuse;
+    # partitions and the routes hold no state.
     assert set(package_memos()) == {
-        "snkron.characters._centralizers",
         "snkron.characters._rows",
         "snkron.characters._widths",
         "snkron.characters.class_sizes",
