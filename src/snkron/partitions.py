@@ -112,19 +112,20 @@ def _partitions(n: int, max_length: int, max_part: int) -> tuple[Partition, ...]
     if not max_length:
         return ()
     out: list[Partition] = []
-
-    def extend(prefix: Partition, slots: int, remaining: int, max_part: int) -> None:
-        # At most ``slots`` parts to go, the next in ((remaining - 1) // slots, top];
-        # a part that ends the partition is emitted without recursing.
-        top = max_part if max_part < remaining else remaining
-        if top == remaining:
-            out.append(prefix + (top,))
-            top -= 1
-        for part in range(top, (remaining - 1) // slots, -1):
-            extend(prefix + (part,), slots - 1, remaining - part, part)
-
-    extend((), max_length, n, max_part)
+    _extend(out, (), max_length, n, max_part)
     return tuple(out)
+
+
+def _extend(out: list[Partition], prefix: Partition, slots: int, remaining: int, max_part: int) -> None:
+    # At most ``slots`` parts to go, the next in ((remaining - 1) // slots, top];
+    # a part that ends the partition is emitted without recursing.  A module
+    # function, not a closure: a recursive closure holds itself in a cycle.
+    top = max_part if max_part < remaining else remaining
+    if top == remaining:
+        out.append(prefix + (top,))
+        top -= 1
+    for part in range(top, (remaining - 1) // slots, -1):
+        _extend(out, prefix + (part,), slots - 1, remaining - part, part)
 
 
 def _hook_product(lam: Partition) -> int:

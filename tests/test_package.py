@@ -1,5 +1,6 @@
 import ast
 import doctest
+import gc
 import re
 import subprocess
 import sys
@@ -8,10 +9,16 @@ from pathlib import Path
 import pytest
 
 import snkron
-from snkron.characters import DEFAULT_CAP, CharacterTable, character_table
-from snkron.closed_forms import _WIDTH_BOUND
+from snkron.characters import DEFAULT_CAP, CharacterTable, character_table, class_sizes
+from snkron.closed_forms import _WIDTH_BOUND, theorem1_decomposition
+from snkron.kronecker import tensor_decompose
 from snkron.partitions import _BIT_BOUND, _CELL_BOUND, Decomposition
-from snkron.weights import T2_W_GENERATORS, GeneratorCombination, SemiInvariantWeight
+from snkron.weights import (
+    T2_W_GENERATORS,
+    GeneratorCombination,
+    SemiInvariantWeight,
+    membership_t1,
+)
 from conftest import package_memos
 from test_cli import child_env
 
@@ -79,6 +86,24 @@ def test_only_the_character_layer_keeps_memos():
         "snkron.characters._widths",
         "snkron.characters.class_sizes",
     }
+
+
+def test_library_calls_leave_no_cyclic_garbage(cold_memo):
+    # Cycles are freed only by the collector, whose passes then land inside
+    # timed calls; every layer's work is freed by reference counts alone.
+    gc.collect()
+    gc.disable()
+    try:
+        tensor_decompose((6, 6), (6, 6))
+        class_sizes(18)
+        character_table(10)
+        dec = theorem1_decomposition(20)
+        dec.dimension_sum()
+        for nu in dec.entries:
+            membership_t1(nu)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # The checkout's root: the package sources, the benchmark and README.
