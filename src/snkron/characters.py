@@ -34,16 +34,17 @@ Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.
 
 Concurrency: every function here is pure, and its memos (``_rows`` and the
-caches of ``_widths`` and ``class_sizes``) change only by atomic stores of
-correct values; the shared sums of ``_class_sums`` live in a dict of its
-own call.  A racing writer may store a shorter row of a shape than the
-one it replaces: that costs recomputation, never a wrong value.
+cache of ``_classes``) change only by atomic stores of correct values; the
+shared sums of ``_class_sums`` live in a dict of its own call.  A racing
+writer may store a shorter row of a shape than the one it replaces: that
+costs recomputation, never a wrong value.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import accumulate
+from math import factorial, perm
 from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple, Sequence
 
@@ -62,18 +63,6 @@ __all__ = [
 ]
 
 
-def _centralizer(rho: Partition) -> int:
-    z = 1
-    mult = 0
-    for i, part in enumerate(rho):
-        mult += 1
-        z *= part
-        if i + 1 == len(rho) or rho[i + 1] != part:
-            z *= factorial(mult)
-            mult = 0
-    return z
-
-
 def _beads(lam: Partition) -> int:
     # Abacus of lam: bit lam[i] + (len(lam) - 1 - i) is set for every row i.
     mask = 0
@@ -82,13 +71,26 @@ def _beads(lam: Partition) -> int:
     return mask
 
 
+# Memoized: _char reads the widths on every call, and warm callers reuse the sizes.
 @lru_cache(maxsize=None)
-def _widths(m: int) -> tuple[int, ...]:
-    # p(m, parts <= b) for b = 0..m: the length of a row of S_m bounded by b.
-    w = [int(not m)]
-    for b in range(1, m + 1):
-        w.append(w[-1] + _widths(m - b)[min(b, m - b)])
-    return tuple(w)
+def _classes(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # p(m, parts <= b) for b = 0..m, the length of a row bounded by b, and the
+    # class sizes of S_m, by the suffix rule: the classes with exactly k leading
+    # cycles r are r^k followed by the last p(m - kr, parts < r) classes of
+    # S_(m - kr), each as large as the one below times the choices of k r-cycles.
+    if not m:
+        return (1,), (1,)
+    firsts = [0] * (m + 1)  # classes with first cycle r
+    sizes: list[int] = []
+    for r in range(m, 0, -1):
+        for k in range(m // r, 0, -1):
+            rest = m - k * r
+            widths, below = _classes(rest)
+            suffix = below[len(below) - widths[min(r - 1, rest)]:]
+            choices = perm(m, k * r) // (r**k * factorial(k))
+            sizes.extend([choices * size for size in suffix])
+            firsts[r] += len(suffix)
+    return tuple(accumulate(firsts)), tuple(sizes)
 
 
 _rows: dict[int, tuple[int, ...]] = {}  # mask -> row; its length names its bound
@@ -100,14 +102,14 @@ def _char(mask: int, size: int, bound: int) -> tuple[int, ...]:
     if not size:
         return (1,)
     bound = min(size, bound)
-    widths = _widths(size)
+    widths = _classes(size)[0]
     tail = _rows.get(mask, ())
     if len(tail) >= widths[bound]:
         return tail[-widths[bound]:]
     row: list[int] = []
     for r in range(bound, widths.index(len(tail)), -1):  # from b down to the stored bound
         rest = size - r
-        width = _widths(rest)[min(r, rest)]
+        width = _classes(rest)[0][min(r, rest)]
         segment = None
         # Every r-strip: move a bead from b + r down to an empty b, drop the
         # zero rows, and take the parity of the beads passed over as the sign.
@@ -142,7 +144,7 @@ def _class_sums(n: int, weights: Sequence[int]) -> Callable[[Partition], int]:
     start = 0
     for r in range(n, 0, -1):
         rest = n - r
-        stop = start + _widths(rest)[min(r, rest)]
+        stop = start + _classes(rest)[0][min(r, rest)]
         segment = weights[start:stop]
         start = stop
         if any(segment):
@@ -190,16 +192,13 @@ def character_row(lam: Partition) -> tuple[int, ...]:
     return _char(_beads(lam), n, n)
 
 
-# Memoized: warm callers reuse it, and at S_20 it costs more than a kronecker call.
-@lru_cache(maxsize=None)
 def class_sizes(n: int) -> tuple[int, ...]:
     """Sizes of the conjugacy classes of S_n, in ``enumerate_partitions(n)`` order.
 
     Raises ValueError when ``n`` is negative or exceeds ``DEFAULT_CAP``.
     """
     _check_size(n)
-    order = factorial(n)
-    return tuple(order // _centralizer(rho) for rho in enumerate_partitions(n))
+    return _classes(n)[1]
 
 
 class CharacterTable(NamedTuple):

@@ -101,26 +101,32 @@ def test_character_row_cap_enforced():
         character_row((DEFAULT_CAP + 1,))
 
 
-def test_class_sizes_match_centralizers():
-    for n in range(DEFAULT_CAP + 1):
-        assert class_sizes(n) == tuple(
-            math.factorial(n) // centralizer_order(rho) for rho in enumerate_partitions(n)
-        )
+def test_class_sizes_match_centralizers(cold_memo):
+    # The record of S_n fills those of smaller sizes, so it is asked from a
+    # cold memo largest first, smallest first and in a shuffled order.
+    sizes = list(range(DEFAULT_CAP + 1))
+    shuffled = random.Random(27).sample(sizes, len(sizes))
+    for order in (sizes[::-1], sizes, shuffled):
+        cold_memo()
+        for n in order:
+            assert class_sizes(n) == tuple(
+                math.factorial(n) // centralizer_order(rho) for rho in classes_of(n)
+            ), n
 
 
 def test_class_order_the_engine_slices_by():
-    # A bounded row is a suffix: the last _widths(m)[b] classes are those
+    # A bounded row is a suffix: the last _classes(m)[0][b] classes are those
     # with every cycle <= b.  A row is built in segments: walking r from m
     # down to 1, consecutive blocks of the classes with first cycle r.
     for m in range(1, DEFAULT_CAP + 1):
         classes = classes_of(m)
-        widths = characters._widths(m)
+        widths = characters._classes(m)[0]
         for b in range(m + 1):
             suffix = classes[len(classes) - widths[b]:]
             assert suffix == tuple(rho for rho in classes if rho[0] <= b), (m, b)
         start = 0
         for r in range(m, 0, -1):
-            stop = start + characters._widths(m - r)[min(r, m - r)]
+            stop = start + characters._classes(m - r)[0][min(r, m - r)]
             assert all(rho[0] == r for rho in classes[start:stop]), (m, r)
             start = stop
         assert start == len(classes), m

@@ -78,13 +78,12 @@ def test_routes_import_only_what_the_layering_allows():
 
 
 def test_only_the_character_layer_keeps_memos():
-    # One row per shape that the border-strip recursion reuses, the row
-    # lengths it slices by, and the class sizes warm callers reuse;
+    # One row per shape that the border-strip recursion reuses, and one
+    # record per size of the row lengths it slices by and the class sizes;
     # partitions and the routes hold no state.
     assert set(package_memos()) == {
         "snkron.characters._rows",
-        "snkron.characters._widths",
-        "snkron.characters.class_sizes",
+        "snkron.characters._classes",
     }
 
 
