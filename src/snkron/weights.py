@@ -4,11 +4,11 @@ The two closed-form decompositions come from invariant theory: a product of
 special linear groups and a Borel subgroup acts on a triple tensor product
 with an open orbit, and the boundary divisors carry semi-invariants whose
 weights generate the full weight semigroup.  This module stores those
-weights (a triple of partitions plus the polynomial degree, one named tuple
-per generator) and solves the nonnegative-integer membership problem for the
-third-factor components.  The members are the closed forms' index sets,
-stated independently of the generators in ``closed_forms``; the tests
-compare the two statements.
+weights (a triple of partitions of one size, one named tuple per generator;
+theorem 2's in solver order) and solves the nonnegative-integer membership
+problem for their third-factor components.  The members are the closed
+forms' index sets, stated independently of the generators in
+``closed_forms``; the tests compare the two statements.
 
 Both membership solvers use a closed triangular solve; the generators are
 linearly independent (determinants -8 and -16), so a solution is unique.
@@ -35,14 +35,13 @@ __all__ = [
 class SemiInvariantWeight(NamedTuple):
     """Weight of one boundary semi-invariant: a partition per tensor factor.
 
-    All three partitions have size equal to the polynomial degree.
+    All three partitions have one size, the polynomial degree.
     """
 
     label: str
     u_weight: Partition
     v_weight: Partition
     w_weight: Partition
-    degree: int
 
 
 class GeneratorCombination(NamedTuple):
@@ -52,11 +51,6 @@ class GeneratorCombination(NamedTuple):
     generators: tuple[Partition, ...]
 
 
-# Third-factor components of the boundary weights, in solver order.
-T1_W_GENERATORS: tuple[Partition, ...] = ((1, 1, 1, 1), (2,), (2, 2), (2, 2, 2))
-T2_W_GENERATORS: tuple[Partition, ...] = ((4, 2, 2), (4, 4, 4), (2, 2))
-
-
 def theorem1_weights() -> tuple[SemiInvariantWeight, ...]:
     """The four boundary semi-invariants behind the (n,n) (x) (n,n) closed form.
 
@@ -64,20 +58,25 @@ def theorem1_weights() -> tuple[SemiInvariantWeight, ...]:
     independent, which is why the list is complete.
     """
     return (
-        SemiInvariantWeight("f1", (2, 2), (2, 2), (1, 1, 1, 1), 4),
-        SemiInvariantWeight("f2", (1, 1), (1, 1), (2,), 2),
-        SemiInvariantWeight("f3", (2, 2), (2, 2), (2, 2), 4),
-        SemiInvariantWeight("f4", (3, 3), (3, 3), (2, 2, 2), 6),
+        SemiInvariantWeight("f1", (2, 2), (2, 2), (1, 1, 1, 1)),
+        SemiInvariantWeight("f2", (1, 1), (1, 1), (2,)),
+        SemiInvariantWeight("f3", (2, 2), (2, 2), (2, 2)),
+        SemiInvariantWeight("f4", (3, 3), (3, 3), (2, 2, 2)),
     )
 
 
 def theorem2_weights() -> tuple[SemiInvariantWeight, ...]:
     """The three boundary semi-invariants behind the (2n,2n) (x) (n,n,n,n) form."""
     return (
-        SemiInvariantWeight("f1", (6, 6), (3, 3, 3, 3), (4, 4, 4), 12),
-        SemiInvariantWeight("f2", (2, 2), (1, 1, 1, 1), (2, 2), 4),
-        SemiInvariantWeight("f3", (4, 4), (2, 2, 2, 2), (4, 2, 2), 8),
+        SemiInvariantWeight("f3", (4, 4), (2, 2, 2, 2), (4, 2, 2)),
+        SemiInvariantWeight("f1", (6, 6), (3, 3, 3, 3), (4, 4, 4)),
+        SemiInvariantWeight("f2", (2, 2), (1, 1, 1, 1), (2, 2)),
     )
+
+
+# The solvers' generators: the w parts of the triples, in their order.
+T1_W_GENERATORS: tuple[Partition, ...] = tuple(w.w_weight for w in theorem1_weights())
+T2_W_GENERATORS: tuple[Partition, ...] = tuple(w.w_weight for w in theorem2_weights())
 
 
 def _padded(lam: Partition, k: int) -> Partition:

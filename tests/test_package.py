@@ -10,7 +10,7 @@ import pytest
 
 import snkron
 from snkron.characters import DEFAULT_CAP, CharacterTable, character_table, class_sizes
-from snkron.closed_forms import _WIDTH_BOUND, theorem1_decomposition
+from snkron.closed_forms import _WIDTH_BOUND, theorem1_decomposition, theorem2_decomposition
 from snkron.kronecker import tensor_decompose
 from snkron.partitions import _BIT_BOUND, _CELL_BOUND, Decomposition
 from snkron.weights import (
@@ -18,6 +18,7 @@ from snkron.weights import (
     GeneratorCombination,
     SemiInvariantWeight,
     membership_t1,
+    membership_t2,
 )
 from conftest import package_memos
 from test_cli import child_env
@@ -100,6 +101,8 @@ def test_library_calls_leave_no_cyclic_garbage(cold_memo):
         dec.dimension_sum()
         for nu in dec.entries:
             membership_t1(nu)
+        for nu in theorem2_decomposition(20).entries:
+            membership_t2(nu)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -217,8 +220,8 @@ RECORDS = [
     ),
     (
         SemiInvariantWeight,
-        ("label", "u_weight", "v_weight", "w_weight", "degree"),
-        ("f2", (1, 1), (1, 1), (2,), 2),
+        ("label", "u_weight", "v_weight", "w_weight"),
+        ("f2", (1, 1), (1, 1), (2,)),
         (),
     ),
     (

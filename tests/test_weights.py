@@ -1,4 +1,6 @@
+import ast
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -15,39 +17,43 @@ from snkron.weights import (
 
 def test_theorem1_weight_data():
     weights = theorem1_weights()
-    assert [(w.u_weight, w.v_weight, w.w_weight, w.degree) for w in weights] == [
-        ((2, 2), (2, 2), (1, 1, 1, 1), 4),
-        ((1, 1), (1, 1), (2,), 2),
-        ((2, 2), (2, 2), (2, 2), 4),
-        ((3, 3), (3, 3), (2, 2, 2), 6),
+    assert [(w.u_weight, w.v_weight, w.w_weight) for w in weights] == [
+        ((2, 2), (2, 2), (1, 1, 1, 1)),
+        ((1, 1), (1, 1), (2,)),
+        ((2, 2), (2, 2), (2, 2)),
+        ((3, 3), (3, 3), (2, 2, 2)),
     ]
     assert [w.label for w in weights] == ["f1", "f2", "f3", "f4"]
-    assert weights[0].degree == 4
-    assert weights[3].w_weight == (2, 2, 2)
 
 
 def test_theorem2_weight_data():
+    # Stored in solver order, each triple keeping its label.
     weights = theorem2_weights()
-    assert [(w.u_weight, w.v_weight, w.w_weight, w.degree) for w in weights] == [
-        ((6, 6), (3, 3, 3, 3), (4, 4, 4), 12),
-        ((2, 2), (1, 1, 1, 1), (2, 2), 4),
-        ((4, 4), (2, 2, 2, 2), (4, 2, 2), 8),
+    assert [(w.u_weight, w.v_weight, w.w_weight) for w in weights] == [
+        ((4, 4), (2, 2, 2, 2), (4, 2, 2)),
+        ((6, 6), (3, 3, 3, 3), (4, 4, 4)),
+        ((2, 2), (1, 1, 1, 1), (2, 2)),
     ]
-    assert weights[1].degree == 4
-    assert weights[0].w_weight == (4, 4, 4)
+    assert [w.label for w in weights] == ["f3", "f1", "f2"]
 
 
-def test_generators_restate_the_stored_weights():
-    # Theorem 1's solver order is the order of the weights; theorem 2's is
-    # its own, so only the set is shared.
-    assert T1_W_GENERATORS == tuple(w.w_weight for w in theorem1_weights())
-    assert len(T2_W_GENERATORS) == len(set(T2_W_GENERATORS))
-    assert set(T2_W_GENERATORS) == {w.w_weight for w in theorem2_weights()}
+def test_generators_match_the_benchmark_checker():
+    # The benchmark's checker rejects any other generator order.  Parsed,
+    # not imported: it is a script of the benchmark, not of the package.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
+    pinned = {
+        target.id: ast.literal_eval(statement.value)
+        for statement in ast.parse(path.read_text(), str(path)).body
+        if isinstance(statement, ast.Assign)
+        for target in statement.targets
+        if isinstance(target, ast.Name) and target.id in ("T1_GENERATORS", "T2_GENERATORS")
+    }
+    assert pinned == {"T1_GENERATORS": T1_W_GENERATORS, "T2_GENERATORS": T2_W_GENERATORS}
 
 
 def test_degree_consistency():
     for w in theorem1_weights() + theorem2_weights():
-        assert sum(w.u_weight) == sum(w.v_weight) == sum(w.w_weight) == w.degree
+        assert sum(w.u_weight) == sum(w.v_weight) == sum(w.w_weight)
 
 
 def _det(matrix):
