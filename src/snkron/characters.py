@@ -18,7 +18,7 @@ the sub-rows ``_char(mask - strip, size - r, r)`` over the r-strips.  The
 classes with cycles at most b come last, so the memo ``_rows`` keeps one
 row per shape (the mask fixes the size) for the largest bound b asked so far;
 its length p(size, parts <= b) names b.  A smaller bound reads a suffix, a
-larger one prepends segments, and ``character_row`` reads ``_char(beads(lam), n, n)``.
+larger one prepends segments, and ``character_row`` reads ``_char(_beads(lam), n, n)``.
 
 A decomposition needs one number per candidate, the weighted class sum
 sum_rho w_rho chi_nu(rho), not its row.  ``_class_sums(n, weights)`` splits
@@ -28,7 +28,8 @@ bounded sub-row ``_char(sigma, n - r, r)``.  Zero segments are skipped,
 each D(sigma) is formed once per call and shared by every candidate one
 strip above sigma, and no row of a candidate is built or stored.  ``_char``
 and ``_class_sums`` each walk the r-strips of a mask inline, by the same
-bit loop over the beads that can move down r places.
+bit loop over the beads that can move down r places: one walk shared by both
+costs a call and a list per (mask, r), and measured slower (ROADMAP).
 
 Cycle types are ordinary partitions of n, read as conjugacy classes of the
 symmetric group on n letters.

@@ -7,9 +7,10 @@ JSON record around it: "command" first, "time_ms" last unless --no-timing
 is given.  Identical invocations produce byte-identical output once timing
 is suppressed.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage, input or output
-error (including a reader that closes stdout early), 3 closed form
-unavailable for the requested shape.
+Exit codes: 0 success, 1 verification mismatch (closed form against oracle,
+or the oracle's own n!-divisibility check), 2 usage, input or output error
+(including a reader that closes stdout early), 3 closed form unavailable
+for the requested shape.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from math import factorial
 from .characters import character_table, class_sizes
 from .closed_forms import closed_form
 from .kronecker import kronecker, tensor_decompose
-from .partitions import (
-    Decomposition, format_partition, hook_dimension, parse_partition, schur_dimension,
-)
+from .partitions import format_partition, hook_dimension, parse_partition, schur_dimension
 from .weights import T1_W_GENERATORS, T2_W_GENERATORS, membership_t1, membership_t2
 
 __all__ = ["main"]
@@ -48,22 +47,6 @@ def _emit(args: argparse.Namespace, payload: dict, started: float) -> None:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     print(text)
-
-
-def _decomposition_diff(oracle: Decomposition, closed: Decomposition) -> dict:
-    """Machine-readable difference between the two decompositions."""
-    diff = {"oracle_only": [], "closed_only": [], "multiplicity_mismatch": []}
-    for nu in sorted(oracle.entries.keys() | closed.entries.keys(), reverse=True):
-        in_oracle, in_closed = oracle.entries.get(nu), closed.entries.get(nu)
-        if in_closed is None:
-            diff["oracle_only"].append({"partition": list(nu), "mult": in_oracle})
-        elif in_oracle is None:
-            diff["closed_only"].append({"partition": list(nu), "mult": in_closed})
-        elif in_oracle != in_closed:
-            diff["multiplicity_mismatch"].append(
-                {"partition": list(nu), "oracle": in_oracle, "closed": in_closed}
-            )
-    return diff
 
 
 def cmd_kron(args: argparse.Namespace) -> tuple[int, dict | None]:
@@ -107,7 +90,9 @@ def cmd_tensor(args: argparse.Namespace) -> tuple[int, dict | None]:
     if args.mode == "both":
         payload["modes_agree"] = agree = dec == closed
         if not agree:
-            payload["diff"] = _decomposition_diff(dec, closed)
+            payload["closed_entries"] = [
+                {"partition": list(nu), "mult": m} for nu, m in closed.entries.items()
+            ]
             return 1, payload
     return 0, payload
 
@@ -244,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:  # overflow: a size past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # the oracle's n!-divisibility check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # The reader is gone; send what is still buffered nowhere, so the
         # flush at interpreter exit does not fail again.

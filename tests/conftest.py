@@ -41,6 +41,8 @@ def clear_character_memos():
 
 @pytest.fixture
 def cold_memo():
-    """Start the test with every memo of the package empty."""
+    """Start the test with every memo of the package empty, and leave the
+    memos empty after it, so no value it planted reaches a later test."""
     clear_character_memos()
     yield clear_character_memos
+    clear_character_memos()

@@ -9,8 +9,8 @@ import sys
 import pytest
 
 import snkron
-from snkron import closed_forms
-from snkron.cli import _build_parser, _decomposition_diff, main
+from snkron import characters, closed_forms
+from snkron.cli import _build_parser, main
 from snkron.partitions import Decomposition
 
 # The child interpreter imports the same snkron as the tests, installed or not.
@@ -222,40 +222,6 @@ def test_output_is_byte_identical_without_timing():
     assert "time_ms" not in json.loads(first[1])
 
 
-def test_decomposition_diff_reporting():
-    oracle = Decomposition(4, {(4,): 1, (2, 2): 2, (1, 1, 1, 1): 1})
-    closed = Decomposition(4, {(4,): 1, (2, 2): 1, (3, 1): 1})
-    diff = _decomposition_diff(oracle, closed)
-    assert diff["oracle_only"] == [{"partition": [1, 1, 1, 1], "mult": 1}]
-    assert diff["closed_only"] == [{"partition": [3, 1], "mult": 1}]
-    assert diff["multiplicity_mismatch"] == [
-        {"partition": [2, 2], "oracle": 2, "closed": 1}
-    ]
-    # Two or more entries per list, each list in decreasing order.
-    oracle = Decomposition(
-        6, {(6,): 1, (5, 1): 2, (4, 2): 1, (3, 3): 3, (2, 2, 2): 1, (1,) * 6: 1}
-    )
-    closed = Decomposition(
-        6, {(6,): 2, (5, 1): 1, (4, 1, 1): 1, (3, 3): 3, (3, 2, 1): 2, (2, 1, 1, 1, 1): 1}
-    )
-    diff = _decomposition_diff(oracle, closed)
-    assert list(diff) == ["oracle_only", "closed_only", "multiplicity_mismatch"]
-    assert diff["oracle_only"] == [
-        {"partition": [4, 2], "mult": 1},
-        {"partition": [2, 2, 2], "mult": 1},
-        {"partition": [1, 1, 1, 1, 1, 1], "mult": 1},
-    ]
-    assert diff["closed_only"] == [
-        {"partition": [4, 1, 1], "mult": 1},
-        {"partition": [3, 2, 1], "mult": 2},
-        {"partition": [2, 1, 1, 1, 1], "mult": 1},
-    ]
-    assert diff["multiplicity_mismatch"] == [
-        {"partition": [6], "oracle": 1, "closed": 2},
-        {"partition": [5, 1], "oracle": 2, "closed": 1},
-    ]
-
-
 # argv -> expected exit code, for exit 0 what stdout holds (one JSON record,
 # "json", or plain lines, "lines"), and otherwise a substring of stderr.
 CONTRACT = [
@@ -377,10 +343,31 @@ def test_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(closed_forms, "theorem1_decomposition", lambda n: wrong)
     assert main(["--no-timing", "tensor", "2,2", "2,2", "--mode", "both"]) == 1
     record = json.loads(capsys.readouterr().out)
+    # One record holds both sides: the oracle's entries, then the closed form's.
+    assert list(record) == ["command", "inputs", "entries", "modes_agree", "closed_entries"]
+    assert record["entries"] == [
+        {"partition": [4], "mult": 1},
+        {"partition": [2, 2], "mult": 1},
+        {"partition": [1, 1, 1, 1], "mult": 1},
+    ]
     assert record["modes_agree"] is False
-    assert record["diff"]["oracle_only"]
+    assert record["closed_entries"] == [{"partition": [4], "mult": 1}]
     assert main(["verify", "--theorem", "1", "--n-max", "1"]) == 1
     assert capsys.readouterr().out == "theorem=1 n=1 FAIL\n"
+
+
+def test_oracle_consistency_failure_exits_1(capsys, cold_memo):
+    # A planted wrong value of (2) on the class (1,1) after the row of (2,1)
+    # is read, as in test_kronecker::test_class_sum_guard_fires_on_a_wrong_row:
+    # the class sum of (3) is 10, no multiple of 3!.  The oracle's own check
+    # is a verification failure, reported without a traceback.
+    characters.character_row((2, 1))
+    characters._rows[characters._beads((2,))] = (2,)
+    for argv in (["kron", "2,1", "2,1", "3"], ["tensor", "2,1", "2,1"]):
+        assert main(["--no-timing", *argv]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: class sum ") and "Traceback" not in err, (argv, err)
 
 
 def test_both_mode_meets_the_cap_before_the_closed_form(capsys, monkeypatch):
