@@ -1,10 +1,10 @@
 """Exact Kronecker coefficients of symmetric groups.
 
-The library computes Kronecker coefficients by a character-theoretic
-oracle (Murnaghan-Nakayama characters, exact integer arithmetic) and
-implements two closed-form multiplicity-free decompositions for two-row
-rectangle shapes, cross-verifying the two routes against each other and
-against dimension identities.
+The library computes Kronecker coefficients by three routes, cross-verified
+against each other and against dimension identities: a character-theoretic
+oracle (Murnaghan-Nakayama characters, exact integer arithmetic), two
+closed-form multiplicity-free decompositions for two-row rectangle shapes,
+and semigroup membership over the stored semi-invariant weights.
 """
 
 from . import characters, closed_forms, kronecker, partitions, weights

@@ -41,8 +41,6 @@ writer may store a shorter row of a shape than the one it replaces: that
 costs recomputation, never a wrong value.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, perm

@@ -13,8 +13,6 @@ or the oracle's own n!-divisibility check), 2 usage, input or output error
 for the requested shape.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -36,16 +34,14 @@ def _emit(args: argparse.Namespace, payload: dict, started: float) -> None:
     if not args.no_timing:
         record["time_ms"] = int((time.monotonic() - started) * 1000)
     # Exact results such as f^(8000,8000) pass the interpreter's int-to-str
-    # digit limit (Python >= 3.10.7).  Lift it only while the record is
-    # written, so input parsing and in-process callers keep theirs.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    # digit limit.  Lift it only while the record is written, so input
+    # parsing and in-process callers keep theirs.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         text = json.dumps(record)
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
     print(text)
 
 
@@ -217,8 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Shared by every call: an argparse parser is cyclic garbage once dropped.
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
         code, payload = args.func(args)

@@ -9,8 +9,6 @@ pairs of shapes, under which length bound, a theorem covers.  This route
 imports only ``partitions``, so it loads and runs with no character code.
 """
 
-from __future__ import annotations
-
 from .partitions import Decomposition, Partition, _length_bound, _same_size, check_partition
 
 __all__ = [

@@ -7,8 +7,6 @@ that every such sum is a nonnegative multiple of n!; a failure would mean
 the character engine is broken, so it raises instead of returning garbage.
 """
 
-from __future__ import annotations
-
 from math import factorial
 from operator import mul
 

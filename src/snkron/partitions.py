@@ -14,8 +14,6 @@ The ``Decomposition`` record and the routes' input checks live here, so each
 route reads them without loading the other.
 """
 
-from __future__ import annotations
-
 from itertools import combinations, repeat
 from math import factorial, perm, prod
 from operator import add, floordiv, mul, sub

@@ -14,8 +14,6 @@ Both membership solvers use a closed triangular solve; the generators are
 linearly independent (determinants -8 and -16), so a solution is unique.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .partitions import Partition, check_partition

@@ -58,9 +58,28 @@ def test_criterion_2_theorem2_exactness():
     report(2, "theorem-2 closed form equals bounded oracle for n=1..6, bounds 1..3, both orders", failures)
 
 
+def constituent_counts(shares, n_max):
+    """Coefficients of t^0..t^n_max in the product of 1/(1 - t^d) over shares d."""
+    counts = [1] + [0] * n_max
+    for d in shares:
+        for n in range(d, n_max + 1):
+            counts[n] += counts[n - d]
+    return counts
+
+
 def test_criterion_3_semigroup_equivalence():
     # Generation is cheap, so both theorems run far past the oracle's reach.
     failures = []
+    # Each generator's share of n, read off u = (n, n) or (2n, 2n), counts
+    # the constituents the stored triples predict.
+    counts = {
+        theorem1_decomposition: constituent_counts([w.u_weight[0] for w in theorem1_weights()], 60),
+        theorem2_decomposition: constituent_counts([w.u_weight[0] // 2 for w in theorem2_weights()], 60),
+    }
+    for decomposition, expected in counts.items():
+        for n in range(61):
+            if len(decomposition(n).entries) != expected[n]:
+                failures.append((decomposition.__name__, "count", n))
     for n in range(41):
         members = [lam for lam in enumerate_partitions(2 * n, 4) if membership_t1(lam) is not None]
         if list(theorem1_decomposition(n).entries.items()) != [(lam, 1) for lam in members]:
@@ -69,7 +88,12 @@ def test_criterion_3_semigroup_equivalence():
         members = [lam for lam in enumerate_partitions(4 * n, 3) if membership_t2(lam) is not None]
         if list(theorem2_decomposition(n).entries.items()) != [(lam, 1) for lam in members]:
             failures.append(("t2", n))
-    report(3, "semigroup membership equals theorem-1 (n<=40) and theorem-2 (n<=20) index sets, in order", failures)
+    report(
+        3,
+        "semigroup membership equals theorem-1 (n<=40) and theorem-2 (n<=20) index sets, in order; "
+        "constituent counts from the weight triples (n<=60)",
+        failures,
+    )
 
 
 def test_criterion_4_dimension_identities():

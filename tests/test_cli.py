@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import math
 import os
@@ -174,25 +175,23 @@ def test_dim_command():
 
 def test_dim_past_the_int_digit_limit(capsys):
     # f^(8000,8000) = Catalan(8000) has 4 806 digits, past the default
-    # int-to-str limit of Python >= 3.10.7.  The record is written anyway,
-    # the caller's limit is restored, and parsing keeps the limit.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    # int-to-str limit.  The record is written anyway, the caller's limit is
+    # restored, and parsing keeps the limit unless it is off (0).
+    limit = sys.get_int_max_str_digits()
     assert main(["--no-timing", "dim", "8000,8000"]) == 0
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
     out = capsys.readouterr().out
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(0)
     try:
         record = json.loads(out)
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
     assert record == {
         "command": "dim",
         "inputs": {"partition": [8000, 8000], "gl": None},
         "result": math.comb(16000, 8000) // 8001,
     }
-    if limit is not None:
+    if limit:
         assert main(["dim", "9" * (limit + 1)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "error" in err and "Traceback" not in err
@@ -407,6 +406,31 @@ def test_option_strings_are_pinned():
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     found = {name: options(p) for name, p in sub.choices.items()}
     assert {None: options(parser), **found} == OPTIONS
+
+
+GARBAGE_FREE = [
+    (["kron", "2,2", "2,2", "1,1,1,1"], 0),
+    (["tensor", "2,2", "2,2", "--mode", "both"], 0),
+    (["verify", "--theorem", "1", "--n-max", "3"], 0),
+    (["chartable", "4"], 0),
+    (["dim", "2,2"], 0),
+    (["semigroup", "t1", "3,1,1,1"], 0),
+    (["kron", "2,x", "2", "2"], 2),
+]
+
+
+def test_commands_leave_no_cyclic_garbage(capsys):
+    # argparse's own usage errors raise SystemExit and are not covered.
+    for argv, _ in GARBAGE_FREE:
+        main(["--no-timing", *argv])
+    gc.collect()
+    gc.disable()
+    try:
+        left = [(argv, main(["--no-timing", *argv]), gc.collect()) for argv, _ in GARBAGE_FREE]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert left == [(argv, code, 0) for argv, code in GARBAGE_FREE]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", None])
